@@ -38,7 +38,6 @@ from .forms import (
     coupling_block_ranks,
     even_canonical_decompose,
     generate_random_pair,
-    predicted_ranks,
     recover_W,
 )
 from .linalg import (
@@ -49,7 +48,6 @@ from .linalg import (
     numerical_rank,
     random_unitary,
     row_space_angles,
-    singular_value_decomposition,
     unitarity_residual,
 )
 from .structure import (
@@ -105,12 +103,10 @@ __all__ = [
     "haar_unitary",
     "hermitian_eigendecomposition",
     "numerical_rank",
-    "predicted_ranks",
     "q4_matrix",
     "random_unitary",
     "recover_W",
     "row_space_angles",
-    "singular_value_decomposition",
     "symplectic_matrix",
     "unitarity_residual",
 ]

@@ -73,7 +73,7 @@ def _resolve_tolerances(args) -> Tolerances:
     return Tolerances(residual_abs=value)
 
 
-def _load_pair(path_a, path_b, tol) -> BoundaryPair:
+def _load_pair(path_a, path_b) -> BoundaryPair:
     a = parse_matrix_file(path_a)
     b = parse_matrix_file(path_b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
@@ -83,7 +83,7 @@ def _load_pair(path_a, path_b, tol) -> BoundaryPair:
 
 def _cmd_check(args) -> tuple[Report, int]:
     tol = _resolve_tolerances(args)
-    pair = _load_pair(args.A, args.B, tol)
+    pair = _load_pair(args.A, args.B)
     report = check_self_adjoint(pair, tol)
     out = Report(
         command="check",
@@ -116,13 +116,14 @@ def _write_factors(out_dir, factors, report: Report) -> None:
 
 def _cmd_canon(args) -> tuple[Report, int]:
     tol = _resolve_tolerances(args)
-    pair = _load_pair(args.A, args.B, tol)
+    pair = _load_pair(args.A, args.B)
     out = Report(command="canon", inputs=[args.A, args.B], verdict="ok")
     if pair.spec.is_odd_order:
         form = canonical_decompose(pair, tol)
         normalized = construct_from_W(form.W, pair.spec, tol)
-        residual = float(np.linalg.norm(form.reconstruct() - normalized.stacked()))
-        angle = float(np.max(row_space_angles(form.reconstruct(), pair.stacked())))
+        product = form.reconstruct()
+        residual = float(np.linalg.norm(product - normalized.stacked()))
+        angle = float(np.max(row_space_angles(product, pair.stacked())))
         out.metrics = {
             "m": pair.spec.m,
             "n": pair.spec.n,
@@ -173,7 +174,7 @@ def _cmd_canon(args) -> tuple[Report, int]:
 
 def _cmd_classify(args) -> tuple[Report, int]:
     tol = _resolve_tolerances(args)
-    pair = _load_pair(args.A, args.B, tol)
+    pair = _load_pair(args.A, args.B)
     out = Report(command="classify", inputs=[args.A, args.B])
     if pair.spec.is_odd_order:
         form = canonical_decompose(pair, tol)

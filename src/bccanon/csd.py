@@ -69,18 +69,21 @@ def cs_core(p: int, q: int, cos, sin) -> np.ndarray:
         raise PartitionMismatch(f"need {k} angles for partition ({p}, {q})")
     m = p + q
     core = np.zeros((m, m), dtype=complex)
+    # Each -S block is a negated copy of its +S block, so its zero entries
+    # are -0.0.  The core and middle factors are column slices of this
+    # matrix and serialize those sign bits, so keep them.
     if p == q:
         core[:k, :k] = np.diag(cos)
         core[:k, k:] = np.diag(sin)
-        core[k:, :k] = -np.diag(sin)
+        core[k:, :k] = -core[:k, k:]
         core[k:, k:] = np.diag(cos)
     else:
         core[k, k] = 1.0
         for i in range(k):
             core[i, i] = cos[i]
             core[i, k + 1 + i] = sin[i]
-            core[k + 1 + i, i] = -sin[i]
             core[k + 1 + i, k + 1 + i] = cos[i]
+        core[p:, :p] = -core[:p, p:].conj().T
     return core
 
 

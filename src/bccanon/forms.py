@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .csd import CsFactors, cs_core, cs_decompose
 from .errors import (
@@ -65,7 +65,6 @@ __all__ = [
     "construct_even_from_W",
     "recover_W",
     "canonical_decompose",
-    "predicted_ranks",
     "classify",
     "coupling_block_ranks",
     "generate_random_pair",
@@ -195,6 +194,15 @@ def _recover_coupling(ab: np.ndarray, basis: np.ndarray, tol: Tolerances):
     return w, p_coef
 
 
+def _require_self_adjoint(pair: BoundaryPair, tol: Tolerances) -> None:
+    report = check_self_adjoint(pair, tol)
+    if not report.ok:
+        raise NotSelfAdjoint(
+            f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), "
+            f"gram residual {report.gram_residual:.3e}"
+        )
+
+
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Invert :func:`construct_from_W` up to row equivalence (odd order).
 
@@ -202,22 +210,73 @@ def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     invertible matrix.  Raises NotSelfAdjoint when the rank/Gram criterion
     fails and RankDeficient on numerically singular coefficients.
     """
-    report = check_self_adjoint(pair, tol)
-    if not report.ok:
-        raise NotSelfAdjoint(
-            f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), "
-            f"gram residual {report.gram_residual:.3e}"
-        )
+    _require_self_adjoint(pair, tol)
     basis = eigenbasis(pair.spec)
     w, _ = _recover_coupling(pair.stacked(), basis.V, tol)
     return w
 
 
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    out = np.zeros(
+        (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+        dtype=np.result_type(*blocks),
+    )
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def _central_block(cs: CsFactors, slots) -> np.ndarray:
+    """``[cs.core[:, :p] | E_s for s in slots | cs.core[:, p:]]``.
+
+    E_0 = I_m[:, :p] and E_1 = I_m[:, p:] are the identity columns of the
+    two CS blocks.
+    """
+    p = cs.p
+    core = cs.core
+    eye = np.eye(p + cs.q, dtype=complex)
+    e = (eye[:, :p], eye[:, p:])
+    return np.hstack([core[:, :p], *(e[s] for s in slots), core[:, p:]])
+
+
+def _right_block(cs: CsFactors, slots) -> np.ndarray:
+    """``blockdiag(v1, U_s* for s in slots, v2)``, matching :func:`_central_block`."""
+    u = (cs.u1, cs.u2)
+    return _block_diag(cs.v1, *(u[s].conj().T for s in slots), cs.v2)
+
+
+def _odd_layout(cs: CsFactors):
+    """Where the odd-order layout puts the CS block with n+1 rows.
+
+    Returns (big, small, rest, cut).  ``big`` and ``small`` index the blocks
+    with n+1 and n rows.  ``rest`` slices the big block's rows other than its
+    structural unit, which :func:`cs_core` puts last in block 1 when p > q
+    and first in block 2 when q > p.  The selector hands the big block's
+    identity columns ``[:cut]`` and ``[cut:]`` to its second and fourth
+    slots, which leaves the structural column alone in one of them.
+    """
+    n = min(cs.p, cs.q)
+    if cs.p > cs.q:
+        return 0, 1, slice(0, n), n
+    return 1, 0, slice(1, n + 1), 1
+
+
+def _k_matrix(cs: CsFactors) -> np.ndarray:
+    """The big block's non-structural corner rows times its core block."""
+    big, _, rest, _ = _odd_layout(cs)
+    block = (slice(0, cs.p), slice(cs.p, cs.p + cs.q))[big]
+    return (cs.u1, cs.u2)[big][rest, :] @ cs.core[block, block]
+
+
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Assembled odd-order canonical factorization of a boundary pair.
+    """Odd-order canonical factorization of a boundary pair.
 
-    Satisfies ``(1/sqrt 2) Q1 @ core @ Q2 == construct_from_W(W, spec)``,
+    Holds the recovered W, its CS factors and the rank decisions.  The
+    factors are derived from them on first access and then cached.  They
+    satisfy ``(1/sqrt 2) Q1 @ core @ Q2 == construct_from_W(W, spec)``,
     i.e. reconstruction agrees with the row-normalized representative of
     the input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
     ``Q3 = selector @ Q4``.  The K matrix drives rank and classification:
@@ -227,17 +286,40 @@ class CanonicalForm:
     spec: OrderSpec
     cs: CsFactors
     W: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q3: np.ndarray
-    Q4: np.ndarray
-    core: np.ndarray
-    K: np.ndarray
     null_count: int
     predicted_rank_A: int
     predicted_rank_B: int
     classification: Classification
     r: int
+
+    @cached_property
+    def Q1(self) -> np.ndarray:
+        return _block_diag(self.cs.u1, self.cs.u2)
+
+    @cached_property
+    def core(self) -> np.ndarray:
+        big, small, _, _ = _odd_layout(self.cs)
+        return _central_block(self.cs, (big, small, big))
+
+    @cached_property
+    def Q4(self) -> np.ndarray:
+        return q4_matrix(self.spec)
+
+    @cached_property
+    def Q3(self) -> np.ndarray:
+        big, small, _, cut = _odd_layout(self.cs)
+        eye = (np.eye(self.cs.p, dtype=complex), np.eye(self.cs.q, dtype=complex))
+        selector = _block_diag(eye[0], eye[big][:, :cut], eye[small], eye[big][:, cut:], eye[1])
+        return selector @ self.Q4
+
+    @cached_property
+    def Q2(self) -> np.ndarray:
+        big, small, _, _ = _odd_layout(self.cs)
+        return _right_block(self.cs, (big, small, big)) @ self.Q3
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return _k_matrix(self.cs)
 
     def reconstruct(self) -> np.ndarray:
         """The m x 2m product (1/sqrt 2) Q1 @ core @ Q2."""
@@ -251,91 +333,31 @@ def _unit_eigenvalue_count(k: np.ndarray, tol: Tolerances) -> int:
 
 
 def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
-    """Full canonical factorization of a self-adjoint odd-order pair.
+    """Canonical factorization of a self-adjoint odd-order pair.
 
     Recovers the coupling unitary W, CS-decomposes it over the
-    parity-dependent partition (n+1, n) or (n, n+1), and assembles the
-    factors Q1..Q4, the sparse central block, and the K matrix.
+    parity-dependent partition (n+1, n) or (n, n+1), and decides the rank
+    and classification from the K matrix.  The other factors are left to
+    the returned form to derive when read.
     """
     spec = pair.spec
     if not spec.is_odd_order:
         raise UnsupportedOrder("canonical_decompose handles odd order; use even_canonical_decompose")
-    n, m = spec.n, spec.m
     w = recover_W(pair, tol)
     p, q = spec.csd_partition
     cs = cs_decompose(w, p, q, tol)
-
-    cd = np.diag(cs.cos).astype(complex)
-    sd = np.diag(cs.sin).astype(complex)
-    i_n = np.eye(n, dtype=complex)
-    i_n1 = np.eye(n + 1, dtype=complex)
-    zeros_tall = np.zeros((n + 1, n), dtype=complex)
-    zeros_wide = np.zeros((n, n + 1), dtype=complex)
-
-    if spec.parity is Parity.ODD_N:
-        big_c = block_diag(cd, np.eye(1))  # cos diagonal extended by the structural 1
-        big_s = np.vstack([sd, np.zeros((1, n))])
-        core = np.block([
-            [big_c, i_n1, zeros_tall, i_n1, big_s],
-            [-big_s.conj().T, zeros_wide, i_n, zeros_wide, cd],
-        ])
-        diag_factor = block_diag(cs.v1, cs.u1.conj().T, cs.u2.conj().T, cs.u1.conj().T, cs.v2)
-        selector = block_diag(
-            i_n1,
-            np.vstack([i_n, np.zeros((1, n))]),
-            i_n,
-            i_n1[:, [n]],
-            i_n,
-        )
-        k_matrix = cs.u1[:n, :] @ big_c
-    else:
-        big_c = block_diag(np.eye(1), cd)
-        big_s = np.hstack([np.zeros((n, 1)), sd])
-        core = np.block([
-            [cd, zeros_wide, i_n, zeros_wide, big_s],
-            [-big_s.conj().T, i_n1, zeros_tall, i_n1, big_c],
-        ])
-        diag_factor = block_diag(cs.v1, cs.u2.conj().T, cs.u1.conj().T, cs.u2.conj().T, cs.v2)
-        selector = block_diag(
-            i_n,
-            i_n1[:, [0]],
-            i_n,
-            np.vstack([np.zeros((1, n)), i_n]),
-            i_n1,
-        )
-        k_matrix = cs.u2[1:, :] @ big_c
-
-    q4 = q4_matrix(spec)
-    q3 = selector @ q4
-    q2 = diag_factor @ q3
-    q1 = block_diag(cs.u1, cs.u2)
-
-    null_count = _unit_eigenvalue_count(k_matrix, tol)
-    rank = m - null_count
-    classification = Classification.COUPLED if null_count == 0 else Classification.MIXED
+    null_count = _unit_eigenvalue_count(_k_matrix(cs), tol)
+    rank = spec.m - null_count
     return CanonicalForm(
         spec=spec,
         cs=cs,
         W=w,
-        Q1=q1,
-        Q2=q2,
-        Q3=q3,
-        Q4=q4,
-        core=core,
-        K=k_matrix,
         null_count=null_count,
         predicted_rank_A=rank,
         predicted_rank_B=rank,
-        classification=classification,
-        r=rank - (n + 1),
+        classification=Classification.COUPLED if null_count == 0 else Classification.MIXED,
+        r=rank - (spec.n + 1),
     )
-
-
-def predicted_ranks(form: CanonicalForm, tol: Tolerances = DEFAULT_TOL):
-    """Ranks of A and B implied by the K matrix: 2n+1 minus its unit-eigenvalue count."""
-    null_count = _unit_eigenvalue_count(form.K, tol)
-    rank = form.spec.m - null_count
-    return rank, rank, null_count
 
 
 def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
@@ -384,7 +406,6 @@ class EvenCanonicalForm:
     U: np.ndarray
     cs: CsFactors
     W: np.ndarray
-    Z: np.ndarray
     rank_S: int
     classification: Classification
 
@@ -412,20 +433,17 @@ class EvenCanonicalForm:
     def sin(self) -> np.ndarray:
         return self.cs.sin
 
-    @property
+    @cached_property
     def middle(self) -> np.ndarray:
-        n = self.n
-        eye = np.eye(n, dtype=complex)
-        zero = np.zeros((n, n), dtype=complex)
-        cd = np.diag(self.cos).astype(complex)
-        sd = np.diag(self.sin).astype(complex)
-        return np.block([[cd, eye, zero, sd], [-sd, zero, eye, cd]])
+        return _central_block(self.cs, (0, 1))
 
-    @property
+    @cached_property
+    def Z(self) -> np.ndarray:
+        return even_order_Z(self.n)
+
+    @cached_property
     def right(self) -> np.ndarray:
-        return block_diag(
-            self.V1, self.U1.conj().T, self.U2.conj().T, self.V2
-        ) @ self.Z
+        return _right_block(self.cs, (0, 1)) @ self.Z
 
     def reconstruct(self) -> np.ndarray:
         """The 2n x 4n product U @ middle @ right; equals (A : B) exactly."""
@@ -443,17 +461,12 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
     spec = pair.spec
     if spec.parity is not Parity.EVEN_ORDER:
         raise OddSize(f"pair has odd size {spec.m}; use canonical_decompose")
-    report = check_self_adjoint(pair, tol)
-    if not report.ok:
-        raise NotSelfAdjoint(
-            f"rank(A:B)={report.rank_AB} (need {spec.m}), "
-            f"gram residual {report.gram_residual:.3e}"
-        )
+    _require_self_adjoint(pair, tol)
     n = spec.n
     basis = even_order_eigenbasis(n)
     w, p_coef = _recover_coupling(pair.stacked(), basis, tol)
     cs = cs_decompose(w, n, n, tol)
-    u = p_coef @ block_diag(cs.u1, cs.u2)
+    u = p_coef @ _block_diag(cs.u1, cs.u2)
     # Sine entries have unit natural scale (cos^2 + sin^2 = 1), so the rank
     # cutoff is absolute; a relative one would promote roundoff to rank.
     rank_s = int(np.count_nonzero(cs.sin > tol.rank_rel))
@@ -468,7 +481,6 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
         U=u,
         cs=cs,
         W=w,
-        Z=even_order_Z(n),
         rank_S=rank_s,
         classification=classification,
     )
@@ -503,9 +515,9 @@ def generate_random_pair(
         sin = np.sqrt(1.0 - cos**2)
         p, q = spec.csd_partition
         w = (
-            block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+            _block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
             @ cs_core(p, q, cos, sin)
-            @ block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+            @ _block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
         )
         pair = constructor(w, spec, tol)
         if spec.is_odd_order:

@@ -20,7 +20,6 @@ __all__ = [
     "as_complex_matrix",
     "unitarity_residual",
     "hermitian_eigendecomposition",
-    "singular_value_decomposition",
     "numerical_rank",
     "random_unitary",
     "haar_unitary",
@@ -93,19 +92,6 @@ def hermitian_eigendecomposition(h, tol: Tolerances = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     return vals, vecs
-
-
-def singular_value_decomposition(m):
-    """SVD ``m = u @ diag(sigma) @ v*`` with sigma non-increasing.
-
-    Returns ``(u, sigma, v)``; note the third factor is V itself, not V*.
-    """
-    m = as_complex_matrix(m)
-    try:
-        u, sigma, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return u, sigma, vh.conj().T
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -21,7 +21,6 @@ from .forms import (
     coupling_block_ranks,
     even_canonical_decompose,
     generate_random_pair,
-    predicted_ranks,
     recover_W,
     BoundaryPair,
 )
@@ -123,7 +122,7 @@ def _check_rank_agreement(orders, trials, tol):
             rank_a = numerical_rank(pair.A, tol)
             rank_b = numerical_rank(pair.B, tol)
             form = canonical_decompose(pair, tol)
-            pa, pb, _ = predicted_ranks(form, tol)
+            pa, pb = form.predicted_rank_A, form.predicted_rank_B
             ba, bb = coupling_block_ranks(form.W, spec, tol)
             equal = equal and rank_a == rank_b
             bounds = bounds and (n + 1 <= rank_a <= 2 * n + 1)

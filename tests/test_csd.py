@@ -46,6 +46,12 @@ class TestCsCore:
         expected = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
         assert np.allclose(core, expected)
 
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 2), (2, 3)])
+    def test_minus_s_block_zeros_are_negative(self, p, q):
+        # The serialized core and middle factors are slices of this matrix.
+        core = cs_core(p, q, np.array([1.0, 0.6]), np.array([0.0, 0.8]))
+        assert np.all(np.signbit(core[p:, :p].real))
+
     def test_bad_partition(self):
         with pytest.raises(PartitionMismatch):
             cs_core(4, 2, np.ones(2), np.zeros(2))

@@ -20,7 +20,6 @@ from bccanon import (
     generate_random_pair,
     haar_unitary,
     numerical_rank,
-    predicted_ranks,
     random_unitary,
     recover_W,
     row_space_angles,
@@ -180,9 +179,10 @@ class TestCanonicalDecompose:
             assert np.linalg.norm(form.reconstruct() - normalized.stacked()) < 1e-9
             assert np.max(row_space_angles(form.reconstruct(), moved.stacked())) < 1e-8
 
-    def test_factor_shapes(self):
-        form = canonical_decompose(construct_from_W(random_unitary(7, 2), OrderSpec.from_order(7)))
-        n, m = 3, 7
+    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    def test_factor_shapes(self, m):
+        form = canonical_decompose(construct_from_W(random_unitary(m, 2), OrderSpec.from_order(m)))
+        n = (m - 1) // 2
         assert form.Q1.shape == (m, m)
         assert form.core.shape == (m, 5 * n + 3)
         assert form.Q2.shape == (5 * n + 3, 2 * m)
@@ -195,23 +195,40 @@ class TestCanonicalDecompose:
         with pytest.raises(UnsupportedOrder):
             canonical_decompose(pair)
 
+    def test_decisions_do_not_build_q4(self, monkeypatch):
+        def refuse(spec):
+            raise RuntimeError("Q4 built before it was read")
+
+        monkeypatch.setattr("bccanon.forms.q4_matrix", refuse)
+        for m in (5, 7):
+            pair = generate_random_pair(OrderSpec.from_order(m), 3, target_unit_cosines=1)
+            assert classify(pair) == (Classification.MIXED, (m - 1) // 2 - 1)
+        with pytest.raises(RuntimeError):
+            canonical_decompose(pair).Q4
+
+    @pytest.mark.parametrize("m", [5, 7])
+    def test_factors_do_not_depend_on_read_order(self, m):
+        pair = generate_random_pair(OrderSpec.from_order(m), 11, target_unit_cosines=1)
+        names = ("Q1", "core", "Q4", "Q3", "Q2", "K")
+        fresh = canonical_decompose(pair)
+        expected = {name: getattr(fresh, name) for name in names}
+        expected["reconstruct"] = fresh.reconstruct()
+        form = canonical_decompose(pair)
+        got = {"reconstruct": form.reconstruct()}
+        got.update({name: getattr(form, name) for name in reversed(names)})
+        for name, value in expected.items():
+            assert got[name].tobytes() == value.tobytes(), name
+
 
 class TestPredictedRanks:
     def test_full_sine_spectrum_keeps_full_rank(self):
         # cos = 0 everywhere: K K* has no unit eigenvalues
         form = canonical_decompose(construct_from_W(coupled_unitary_order5(), SPEC5))
-        assert predicted_ranks(form) == (5, 5, 0)
-
-    def test_zero_k_matrix_keeps_full_rank(self):
-        import dataclasses
-
-        base = canonical_decompose(construct_from_W(coupled_unitary_order5(), SPEC5))
-        form = dataclasses.replace(base, K=np.zeros((2, 3), dtype=complex))
-        assert predicted_ranks(form) == (5, 5, 0)
+        assert (form.predicted_rank_A, form.predicted_rank_B, form.null_count) == (5, 5, 0)
 
     def test_unit_cosines_drop_rank(self):
         form = canonical_decompose(construct_from_W(np.eye(5, dtype=complex), SPEC5))
-        assert predicted_ranks(form) == (3, 3, 2)
+        assert (form.predicted_rank_A, form.predicted_rank_B, form.null_count) == (3, 3, 2)
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_agrees_with_svd_ranks(self, m):
@@ -220,10 +237,9 @@ class TestPredictedRanks:
             k = t % (spec.n + 1)
             pair = generate_random_pair(spec, 7100 + t, target_unit_cosines=k)
             form = canonical_decompose(pair)
-            rank_a, rank_b, null_count = predicted_ranks(form)
-            assert null_count == k
-            assert rank_a == numerical_rank(pair.A)
-            assert rank_b == numerical_rank(pair.B)
+            assert form.null_count == k
+            assert form.predicted_rank_A == numerical_rank(pair.A)
+            assert form.predicted_rank_B == numerical_rank(pair.B)
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_block_rank_route_agrees(self, m):

@@ -13,7 +13,6 @@ from bccanon import (
     numerical_rank,
     random_unitary,
     row_space_angles,
-    singular_value_decomposition,
     symplectic_matrix,
     unitarity_residual,
 )
@@ -84,34 +83,6 @@ class TestHermitianEigendecomposition:
         residual = np.max(np.linalg.norm(h @ vecs - vecs @ np.diag(vals), axis=0))
         assert residual <= 1e-8 * scale
         assert unitarity_residual(vecs) < 1e-10
-
-
-class TestSingularValueDecomposition:
-    def test_zero_matrix(self):
-        _, sigma, _ = singular_value_decomposition(np.zeros((3, 3)))
-        assert np.all(sigma == 0.0)
-
-    def test_diagonal_reorder(self):
-        _, sigma, _ = singular_value_decomposition(np.diag([3.0, 4.0]))
-        assert np.allclose(sigma, [4.0, 3.0])
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        u, sigma, v = singular_value_decomposition(m)
-        assert np.max(np.abs(u @ np.diag(sigma) @ v.conj().T - m)) < 1e-12
-
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 20), cols=st.integers(1, 20))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, seed, rows, cols):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        u, sigma, v = singular_value_decomposition(m)
-        k = min(rows, cols)
-        recon = u[:, :k] @ np.diag(sigma) @ v[:, :k].conj().T
-        assert np.linalg.norm(recon - m) <= 1e-8 * max(1.0, np.linalg.norm(m))
-        assert np.all(np.diff(sigma) <= 1e-15)
-        assert np.all(sigma >= 0.0)
 
 
 class TestNumericalRank:
