@@ -15,7 +15,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidTarget,
-    NotHermitian,
     NotSelfAdjoint,
     NotUnitary,
     OddSize,
@@ -44,7 +43,6 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     haar_unitary,
-    hermitian_eigendecomposition,
     numerical_rank,
     random_unitary,
     row_space_angles,
@@ -74,7 +72,6 @@ __all__ = [
     "EigenBasis",
     "EvenCanonicalForm",
     "InvalidTarget",
-    "NotHermitian",
     "NotSelfAdjoint",
     "NotUnitary",
     "OddSize",
@@ -101,7 +98,6 @@ __all__ = [
     "even_order_eigenbasis",
     "generate_random_pair",
     "haar_unitary",
-    "hermitian_eigendecomposition",
     "numerical_rank",
     "q4_matrix",
     "random_unitary",

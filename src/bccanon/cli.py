@@ -8,8 +8,9 @@ Subcommands
     selftest  run the seeded invariant suite
 
 Exit codes: 0 success, 1 criterion-failure verdict, 2 input/usage error,
-3 numerical failure.  BC_CANON_TOL overrides the default reconstruction
-tolerance; the --tol flag wins over the environment.
+3 numerical failure.  BC_CANON_TOL overrides residual_abs, the bound on
+the Gram residual of the self-adjointness check; the --tol flag wins over
+the environment.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--tol", type=float, default=None, help="reconstruction tolerance (residual_abs)")
+        p.add_argument("--tol", type=float, default=None, help="self-adjointness Gram residual bound (residual_abs)")
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
 
     p_check = sub.add_parser("check", help="verify the self-adjointness criterion")

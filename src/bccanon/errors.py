@@ -5,10 +5,6 @@ class BccanonError(Exception):
     """Base class for all library-specific failures."""
 
 
-class NotHermitian(BccanonError):
-    """Input matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class NotUnitary(BccanonError):
     """Input matrix fails the unitarity residual check."""
 

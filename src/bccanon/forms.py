@@ -40,7 +40,6 @@ from .linalg import (
     Tolerances,
     as_complex_matrix,
     haar_unitary,
-    hermitian_eigendecomposition,
     numerical_rank,
     unitarity_residual,
 )
@@ -124,17 +123,22 @@ class SelfAdjointReport:
         return self.rank_ok and self.gram_ok
 
 
-def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
-    """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises."""
+def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
+    """(rank (A : B), rank ok, Gram residual, Gram ok) of the self-adjointness verdict."""
     c = symplectic_matrix(pair.spec.m)
     gram = pair.A @ c @ pair.A.conj().T - pair.B @ c @ pair.B.conj().T
     gram_residual = float(np.linalg.norm(gram))
     rank_ab = numerical_rank(pair.stacked(), tol)
+    return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
+
+
+def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
+    """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises.
+
+    rank A and rank B are reported as diagnostics; the verdict does not use them.
+    """
     return SelfAdjointReport(
-        rank_AB=rank_ab,
-        rank_ok=rank_ab == pair.spec.m,
-        gram_residual=gram_residual,
-        gram_ok=gram_residual <= tol.residual_abs,
+        *_self_adjoint_criterion(pair, tol),
         rank_A=numerical_rank(pair.A, tol),
         rank_B=numerical_rank(pair.B, tol),
     )
@@ -195,11 +199,10 @@ def _recover_coupling(ab: np.ndarray, basis: np.ndarray, tol: Tolerances):
 
 
 def _require_self_adjoint(pair: BoundaryPair, tol: Tolerances) -> None:
-    report = check_self_adjoint(pair, tol)
-    if not report.ok:
+    rank_ab, rank_ok, gram_residual, gram_ok = _self_adjoint_criterion(pair, tol)
+    if not (rank_ok and gram_ok):
         raise NotSelfAdjoint(
-            f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), "
-            f"gram residual {report.gram_residual:.3e}"
+            f"rank(A:B)={rank_ab} (need {pair.spec.m}), gram residual {gram_residual:.3e}"
         )
 
 
@@ -270,6 +273,28 @@ def _k_matrix(cs: CsFactors) -> np.ndarray:
     return (cs.u1, cs.u2)[big][rest, :] @ cs.core[block, block]
 
 
+def _unit_rank(values: np.ndarray, tol: Tolerances) -> int:
+    """Number of ``values`` above ``rank_rel``, for values of unit scale.
+
+    Sines and singular values of blocks of a unitary have unit natural
+    scale, so the cutoff is absolute; a relative one would count roundoff
+    as rank when a block should be zero.
+    """
+    return int(np.count_nonzero(values > tol.rank_rel))
+
+
+def _odd_null_count(cs: CsFactors, tol: Tolerances) -> int:
+    """Nullity of I - K K* = M M*, i.e. n - rank M, with M = U_big[rest, rest] diag(sin).
+
+    The identity holds because the rows ``rest`` of U_big are orthonormal
+    and the structural unit has cosine 1; U_big's angle columns are its
+    non-structural ones, the same slice ``rest``.
+    """
+    big, _, rest, _ = _odd_layout(cs)
+    m = (cs.u1, cs.u2)[big][rest, rest] * cs.sin
+    return len(cs.sin) - _unit_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """Odd-order canonical factorization of a boundary pair.
@@ -280,7 +305,8 @@ class CanonicalForm:
     i.e. reconstruction agrees with the row-normalized representative of
     the input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
     ``Q3 = selector @ Q4``.  The K matrix drives rank and classification:
-    rank A = rank B = 2n+1 - (number of unit eigenvalues of K K*).
+    rank A = rank B = 2n+1 - (n - rank M), where M M* = I - K K* and
+    M = U_big[rest, rest] diag(sin) (see :func:`_odd_null_count`).
     """
 
     spec: OrderSpec
@@ -326,19 +352,13 @@ class CanonicalForm:
         return (self.Q1 @ self.core @ self.Q2) / np.sqrt(2.0)
 
 
-def _unit_eigenvalue_count(k: np.ndarray, tol: Tolerances) -> int:
-    """Number of eigenvalues of K K* within ``unit_eig_abs`` of 1."""
-    vals, _ = hermitian_eigendecomposition(k @ k.conj().T, tol)
-    return int(np.count_nonzero(np.abs(vals - 1.0) <= tol.unit_eig_abs))
-
-
 def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     """Canonical factorization of a self-adjoint odd-order pair.
 
     Recovers the coupling unitary W, CS-decomposes it over the
     parity-dependent partition (n+1, n) or (n, n+1), and decides the rank
-    and classification from the K matrix.  The other factors are left to
-    the returned form to derive when read.
+    and classification from I - K K* = M M*.  The factors, K included, are
+    left to the returned form to derive when read.
     """
     spec = pair.spec
     if not spec.is_odd_order:
@@ -346,7 +366,7 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     w = recover_W(pair, tol)
     p, q = spec.csd_partition
     cs = cs_decompose(w, p, q, tol)
-    null_count = _unit_eigenvalue_count(_k_matrix(cs), tol)
+    null_count = _odd_null_count(cs, tol)
     rank = spec.m - null_count
     return CanonicalForm(
         spec=spec,
@@ -372,7 +392,7 @@ def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
 
 
 def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
-    """Alternative rank route via numerical ranks of W's corner blocks.
+    """Alternative rank route via the ranks of W's corner blocks.
 
     For odd n: rank A = n + rank of the lower-left (n+1) x (n+1) block,
     rank B = n+1 + rank of the upper-right n x n block; the roles flip for
@@ -380,12 +400,16 @@ def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
     """
     w = as_complex_matrix(w)
     n = spec.n
+
+    def rank(block):
+        return _unit_rank(np.linalg.svd(block, compute_uv=False), tol)
+
     if spec.parity is Parity.ODD_N:
-        rank_a = n + numerical_rank(w[n:, : n + 1], tol)
-        rank_b = n + 1 + numerical_rank(w[:n, n + 1 :], tol)
+        rank_a = n + rank(w[n:, : n + 1])
+        rank_b = n + 1 + rank(w[:n, n + 1 :])
     elif spec.parity is Parity.EVEN_N:
-        rank_a = n + 1 + numerical_rank(w[n + 1 :, :n], tol)
-        rank_b = n + numerical_rank(w[: n + 1, n:], tol)
+        rank_a = n + 1 + rank(w[n + 1 :, :n])
+        rank_b = n + rank(w[: n + 1, n:])
     else:
         raise UnsupportedOrder("coupling_block_ranks is defined for odd order only")
     return rank_a, rank_b
@@ -467,9 +491,7 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
     w, p_coef = _recover_coupling(pair.stacked(), basis, tol)
     cs = cs_decompose(w, n, n, tol)
     u = p_coef @ _block_diag(cs.u1, cs.u2)
-    # Sine entries have unit natural scale (cos^2 + sin^2 = 1), so the rank
-    # cutoff is absolute; a relative one would promote roundoff to rank.
-    rank_s = int(np.count_nonzero(cs.sin > tol.rank_rel))
+    rank_s = _unit_rank(cs.sin, tol)
     if rank_s == 0:
         classification = Classification.SEPARATED
     elif rank_s == n:
@@ -496,8 +518,8 @@ def generate_random_pair(
 
     Without a target the coupling unitary is Haar distributed.  With
     ``target_unit_cosines = k`` exactly k cosines are set to 1 and the rest
-    are drawn uniformly from (1e-3, 1 - 1e-3), which pins the unit-eigenvalue
-    count of K K* to k for odd order (hence rank A = 2n+1-k) and the sine
+    are drawn uniformly from (1e-3, 1 - 1e-3), which pins the nullity of
+    I - K K* = M M* to k for odd order (hence rank A = 2n+1-k) and the sine
     rank to n-k for even order.  Since the corner factors enter K, the
     realized count is verified and the pair is resampled under a derived
     seed on the (probability-zero) mismatches.

@@ -2,8 +2,8 @@
 
 Everything operates on plain ``numpy`` arrays of dtype complex128.  The
 functions here add the contracts the rest of the library relies on
-(tolerance-aware Hermiticity checks, a fixed numerical-rank rule, seeded
-Haar sampling); the heavy lifting is delegated to LAPACK via numpy.
+(a unitarity residual, a fixed numerical-rank rule, seeded Haar
+sampling); the heavy lifting is delegated to LAPACK via numpy.
 """
 
 from __future__ import annotations
@@ -12,14 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotHermitian
-
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "as_complex_matrix",
     "unitarity_residual",
-    "hermitian_eigendecomposition",
     "numerical_rank",
     "random_unitary",
     "haar_unitary",
@@ -31,19 +28,20 @@ __all__ = [
 class Tolerances:
     """Numerical thresholds used throughout the library.
 
-    rank_rel      relative singular-value cutoff for numerical rank
+    rank_rel      singular-value cutoff for numerical rank: relative to
+                  sigma_max for A, B and (A : B), absolute for quantities
+                  of unit scale (sines, blocks of a unitary)
     unitary_abs   max absolute deviation of U*U from the identity
-    residual_abs  max Frobenius deviation for reconstruction checks
-    unit_eig_abs  threshold for deciding an eigenvalue of KK* equals 1
+    residual_abs  max Frobenius norm of A C A* - B C B* in the
+                  self-adjointness check
     """
 
     rank_rel: float = 1e-10
     unitary_abs: float = 1e-10
     residual_abs: float = 1e-8
-    unit_eig_abs: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel", "unitary_abs", "residual_abs", "unit_eig_abs"):
+        for name in ("rank_rel", "unitary_abs", "residual_abs"):
             value = getattr(self, name)
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
@@ -69,29 +67,6 @@ def unitarity_residual(u) -> float:
         raise ValueError(f"unitarity residual needs a square matrix, got {u.shape}")
     gram = u.conj().T @ u
     return float(np.max(np.abs(gram - np.eye(u.shape[0]))))
-
-
-def hermitian_eigendecomposition(h, tol: Tolerances = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
-    ascending and eigenvectors as the columns of a unitary matrix, so that
-    ``h @ vecs == vecs @ diag(vals)`` up to roundoff.
-
-    Raises NotHermitian when ``max|h - h*|`` exceeds ``tol.unitary_abs`` and
-    ConvergenceFailure if the LAPACK iteration fails.
-    """
-    h = as_complex_matrix(h)
-    if h.shape[0] != h.shape[1]:
-        raise NotHermitian(f"matrix is not square: {h.shape}")
-    deviation = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if deviation > tol.unitary_abs:
-        raise NotHermitian(f"Hermiticity deviation {deviation:.3e} exceeds {tol.unitary_abs:.3e}")
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return vals, vecs
 
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:

@@ -131,7 +131,7 @@ def _check_rank_agreement(orders, trials, tol):
     return [
         CheckResult("rank_equality", equal, 0.0, "rank A == rank B"),
         CheckResult("rank_bounds", bounds, 0.0, "n+1 <= rank A <= 2n+1"),
-        CheckResult("rank_formula_vs_svd", formula, 0.0, "2n+1 - Null(I - K K*) == SVD rank"),
+        CheckResult("rank_formula_vs_svd", formula, 0.0, "2n+1 - (n - rank M) == SVD rank, M M* = I - K K*"),
         CheckResult("rank_block_route", blocks, 0.0, "corner-block ranks agree"),
     ]
 

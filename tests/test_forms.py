@@ -222,7 +222,7 @@ class TestCanonicalDecompose:
 
 class TestPredictedRanks:
     def test_full_sine_spectrum_keeps_full_rank(self):
-        # cos = 0 everywhere: K K* has no unit eigenvalues
+        # cos = 0 everywhere: I - K K* = M M* has full rank n
         form = canonical_decompose(construct_from_W(coupled_unitary_order5(), SPEC5))
         assert (form.predicted_rank_A, form.predicted_rank_B, form.null_count) == (5, 5, 0)
 
@@ -244,10 +244,16 @@ class TestPredictedRanks:
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_block_rank_route_agrees(self, m):
         spec = OrderSpec.from_order(m)
+        rng = np.random.default_rng(7300 + m)
         for t in range(8):
             pair = generate_random_pair(spec, 7300 + t, target_unit_cosines=t % (spec.n + 1))
-            form = canonical_decompose(pair)
-            assert coupling_block_ranks(form.W, spec) == (form.predicted_rank_A, form.predicted_rank_B)
+            # All cosines unit, row-mixed: the corner blocks of the recovered
+            # W that should be zero hold roundoff only.
+            unit = generate_random_pair(spec, 7400 + t, target_unit_cosines=spec.n)
+            g = conditioned_invertible(m, rng)
+            mixed = BoundaryPair(A=g @ unit.A, B=g @ unit.B, spec=spec)
+            for form in (canonical_decompose(pair), canonical_decompose(mixed)):
+                assert coupling_block_ranks(form.W, spec) == (form.predicted_rank_A, form.predicted_rank_B)
 
 
 class TestClassify:

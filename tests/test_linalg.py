@@ -1,19 +1,17 @@
 """Tests for the dense linear-algebra kernels."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
 
 from bccanon import (
-    NotHermitian,
     Tolerances,
-    hermitian_eigendecomposition,
     numerical_rank,
     random_unitary,
     row_space_angles,
-    symplectic_matrix,
     unitarity_residual,
 )
 
@@ -24,9 +22,9 @@ class TestTolerances:
         assert t.rank_rel == 1e-10
         assert t.unitary_abs == 1e-10
         assert t.residual_abs == 1e-8
-        assert t.unit_eig_abs == 1e-8
+        assert [f.name for f in fields(Tolerances)] == ["rank_rel", "unitary_abs", "residual_abs"]
 
-    @pytest.mark.parametrize("field", ["rank_rel", "unitary_abs", "residual_abs", "unit_eig_abs"])
+    @pytest.mark.parametrize("field", ["rank_rel", "unitary_abs", "residual_abs"])
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])
     def test_rejects_out_of_range(self, field, bad):
         with pytest.raises(ValueError):
@@ -48,41 +46,6 @@ class TestUnitarityResidual:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             unitarity_residual(np.zeros((2, 3)))
-
-
-class TestHermitianEigendecomposition:
-    def test_identity(self):
-        vals, vecs = hermitian_eigendecomposition(np.eye(3))
-        assert np.allclose(vals, [1.0, 1.0, 1.0])
-        assert unitarity_residual(vecs) < 1e-14
-
-    def test_structure_direct_sum_has_split_spectrum(self):
-        c5 = symplectic_matrix(5)
-        h = block_diag(c5, -c5)
-        vals, vecs = hermitian_eigendecomposition(h)
-        assert np.allclose(np.sort(vals), [-1.0] * 5 + [1.0] * 5, atol=1e-12)
-        assert np.max(np.abs(h @ vecs - vecs @ np.diag(vals))) < 1e-12
-
-    def test_exchange(self):
-        vals, _ = hermitian_eigendecomposition(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    def test_not_hermitian_raises(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 12))
-    @settings(max_examples=25, deadline=None)
-    def test_residual_contract(self, seed, m):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        h = z + z.conj().T
-        vals, vecs = hermitian_eigendecomposition(h)
-        assert np.all(np.diff(vals) >= 0)
-        scale = max(1.0, np.linalg.norm(h))
-        residual = np.max(np.linalg.norm(h @ vecs - vecs @ np.diag(vals), axis=0))
-        assert residual <= 1e-8 * scale
-        assert unitarity_residual(vecs) < 1e-10
 
 
 class TestNumericalRank:

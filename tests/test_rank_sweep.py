@@ -1,0 +1,57 @@
+"""Every route to a rank agrees across a sweep of one small sine.
+
+W is built from its CS decomposition with one sine swept over 1e-3 ... 1e-13
+and the other angles generic.  Odd order reads rank A three ways: the form
+(n - rank M, with M M* = I - K K*), the SVD of A, and the corner blocks of
+W.  Even order reads it as n + rank S.  The unit-scale ranks cut sines and
+singular values at 1e-10, the SVD of A at 1e-10 relative to its largest
+singular value, so the routes may differ only near that cutoff: sines in
+the band [1e-11, 1e-9] are not swept.
+"""
+
+import numpy as np
+import pytest
+from scipy.linalg import block_diag
+
+from bccanon import (
+    OrderSpec,
+    canonical_decompose,
+    construct_even_from_W,
+    construct_from_W,
+    coupling_block_ranks,
+    cs_core,
+    even_canonical_decompose,
+    haar_unitary,
+    numerical_rank,
+)
+
+EXPONENTS = [e for e in range(3, 14) if not 9 <= e <= 11]  # sine = 10**-e
+
+
+def one_small_sine_unitary(spec, sine, rng):
+    p, q = spec.csd_partition
+    n = min(p, q)
+    cos = np.concatenate([[np.sqrt(1.0 - sine**2)], np.sort(rng.uniform(0.05, 0.95, n - 1))[::-1]])
+    sin = np.concatenate([[sine], np.sqrt(1.0 - cos[1:] ** 2)])
+    left = block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+    right = block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+    return left @ cs_core(p, q, cos, sin) @ right
+
+
+@pytest.mark.parametrize("m", [5, 7, 6, 8])
+@pytest.mark.parametrize("e", EXPONENTS)
+def test_rank_routes_agree(m, e):
+    spec = OrderSpec.from_order(m)
+    n = spec.n
+    w = one_small_sine_unitary(spec, 10.0**-e, np.random.default_rng([m, e]))
+    lost = 0 if e < 10 else 1
+    if spec.is_odd_order:
+        pair = construct_from_W(w, spec)
+        form = canonical_decompose(pair)
+        assert form.predicted_rank_A == numerical_rank(pair.A) == coupling_block_ranks(w, spec)[0]
+        assert form.predicted_rank_A == m - lost
+    else:
+        pair = construct_even_from_W(w, spec)
+        form = even_canonical_decompose(pair)
+        assert numerical_rank(pair.A) == n + form.rank_S
+        assert form.rank_S == n - lost
