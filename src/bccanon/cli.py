@@ -45,7 +45,6 @@ from .matio import (
     Report,
     dumps_deterministic,
     format_report,
-    matrix_to_payload,
     parse_matrix_file,
     write_matrix_file,
 )
@@ -61,17 +60,21 @@ _NUMERICAL_ERRORS = (NotSelfAdjoint, ConvergenceFailure, RankDeficient, NotUnita
 
 
 def _resolve_tolerances(args) -> Tolerances:
-    value = getattr(args, "tol", None)
+    value, source = getattr(args, "tol", None), "--tol"
     if value is None:
         env = os.environ.get("BC_CANON_TOL")
         if env is not None:
+            source = "BC_CANON_TOL"
             try:
                 value = float(env)
             except ValueError as exc:
                 raise ParseError(f"BC_CANON_TOL is not a float: {env!r}") from exc
     if value is None:
         return DEFAULT_TOL
-    return Tolerances(residual_abs=value)
+    try:
+        return Tolerances(residual_abs=value)
+    except ValueError as exc:
+        raise ParseError(f"{source}: {exc}") from exc
 
 
 def _load_pair(path_a, path_b) -> BoundaryPair:
@@ -102,14 +105,14 @@ def _cmd_check(args) -> tuple[Report, int]:
 
 
 def _write_factors(out_dir, factors, report: Report) -> None:
+    """Write one file per factor and embed the same rendered payloads in the report."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": report.command, "files": {}}
     embedded = {}
     for name, matrix in factors.items():
         filename = f"{name}.json"
-        write_matrix_file(os.path.join(out_dir, filename), matrix)
+        embedded[name] = write_matrix_file(os.path.join(out_dir, filename), matrix)
         manifest["files"][name] = filename
-        embedded[name] = matrix_to_payload(matrix)
     report.factors = embedded
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as handle:
         handle.write(dumps_deterministic(manifest))
@@ -212,8 +215,7 @@ def _cmd_generate(args) -> tuple[Report, int]:
     os.makedirs(args.out, exist_ok=True)
     path_a = os.path.join(args.out, "A.json")
     path_b = os.path.join(args.out, "B.json")
-    write_matrix_file(path_a, pair.A)
-    write_matrix_file(path_b, pair.B)
+    factors = {"A": write_matrix_file(path_a, pair.A), "B": write_matrix_file(path_b, pair.B)}
     report = check_self_adjoint(pair, tol)
     out = Report(
         command="generate",
@@ -227,7 +229,7 @@ def _cmd_generate(args) -> tuple[Report, int]:
             "rank_A": report.rank_A,
             "rank_B": report.rank_B,
         },
-        factors={"A": matrix_to_payload(pair.A), "B": matrix_to_payload(pair.B)},
+        factors=factors,
     )
     if args.unit_cosines is not None:
         out.metrics["unit_cosines"] = args.unit_cosines
@@ -242,6 +244,8 @@ def _cmd_selftest(args) -> tuple[Report, int]:
         raise ParseError(f"bad --orders value {args.orders!r}") from exc
     if not orders:
         raise ParseError("--orders must name at least one order")
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     results = run_selftest(orders=orders, trials=args.trials, tol=tol)
     metrics = {}
     for res in results:

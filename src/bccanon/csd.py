@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, NotUnitary, PartitionMismatch
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, unitarity_residual
+from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, block_diag, unitarity_residual
 
 __all__ = ["CsFactors", "cs_core", "cs_decompose", "cs_reconstruct"]
 
@@ -143,6 +142,8 @@ def cs_decompose(w, p: int, q: int, tol: Tolerances = DEFAULT_TOL) -> CsFactors:
     if residual > tol.unitary_abs:
         raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
 
+    import scipy.linalg  # here only: the rest of bccanon runs on numpy alone
+
     try:
         # scipy's (p, q) arguments are the row/column counts of the W11
         # block; our partition is symmetric, hence q=p here.
@@ -184,6 +185,6 @@ def cs_decompose(w, p: int, q: int, tol: Tolerances = DEFAULT_TOL) -> CsFactors:
 
 def cs_reconstruct(factors: CsFactors) -> np.ndarray:
     """Multiply the factors back together; inverse of :func:`cs_decompose`."""
-    left = scipy.linalg.block_diag(factors.u1, factors.u2)
-    right = scipy.linalg.block_diag(factors.v1, factors.v2)
+    left = block_diag(factors.u1, factors.u2)
+    right = block_diag(factors.v1, factors.v2)
     return left @ factors.core @ right

@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_complex_matrix,
+    block_diag,
     haar_unitary,
     numerical_rank,
     unitarity_residual,
@@ -219,18 +220,6 @@ def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return w
 
 
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    out = np.zeros(
-        (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
-        dtype=np.result_type(*blocks),
-    )
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
-
-
 def _central_block(cs: CsFactors, slots) -> np.ndarray:
     """``[cs.core[:, :p] | E_s for s in slots | cs.core[:, p:]]``.
 
@@ -247,7 +236,7 @@ def _central_block(cs: CsFactors, slots) -> np.ndarray:
 def _right_block(cs: CsFactors, slots) -> np.ndarray:
     """``blockdiag(v1, U_s* for s in slots, v2)``, matching :func:`_central_block`."""
     u = (cs.u1, cs.u2)
-    return _block_diag(cs.v1, *(u[s].conj().T for s in slots), cs.v2)
+    return block_diag(cs.v1, *(u[s].conj().T for s in slots), cs.v2)
 
 
 def _odd_layout(cs: CsFactors):
@@ -320,7 +309,7 @@ class CanonicalForm:
 
     @cached_property
     def Q1(self) -> np.ndarray:
-        return _block_diag(self.cs.u1, self.cs.u2)
+        return block_diag(self.cs.u1, self.cs.u2)
 
     @cached_property
     def core(self) -> np.ndarray:
@@ -335,7 +324,7 @@ class CanonicalForm:
     def Q3(self) -> np.ndarray:
         big, small, _, cut = _odd_layout(self.cs)
         eye = (np.eye(self.cs.p, dtype=complex), np.eye(self.cs.q, dtype=complex))
-        selector = _block_diag(eye[0], eye[big][:, :cut], eye[small], eye[big][:, cut:], eye[1])
+        selector = block_diag(eye[0], eye[big][:, :cut], eye[small], eye[big][:, cut:], eye[1])
         return selector @ self.Q4
 
     @cached_property
@@ -490,7 +479,7 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
     basis = even_order_eigenbasis(n)
     w, p_coef = _recover_coupling(pair.stacked(), basis, tol)
     cs = cs_decompose(w, n, n, tol)
-    u = p_coef @ _block_diag(cs.u1, cs.u2)
+    u = p_coef @ block_diag(cs.u1, cs.u2)
     rank_s = _unit_rank(cs.sin, tol)
     if rank_s == 0:
         classification = Classification.SEPARATED
@@ -537,9 +526,9 @@ def generate_random_pair(
         sin = np.sqrt(1.0 - cos**2)
         p, q = spec.csd_partition
         w = (
-            _block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+            block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
             @ cs_core(p, q, cos, sin)
-            @ _block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+            @ block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
         )
         pair = constructor(w, spec, tol)
         if spec.is_odd_order:

@@ -16,6 +16,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "as_complex_matrix",
+    "block_diag",
     "unitarity_residual",
     "numerical_rank",
     "random_unitary",
@@ -58,6 +59,19 @@ def as_complex_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or infinite entries")
     return m
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of 2-d blocks, zeros elsewhere."""
+    out = np.zeros(
+        (sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+        dtype=np.result_type(*blocks),
+    )
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def unitarity_residual(u) -> float:

@@ -7,6 +7,10 @@ Matrices travel as UTF-8 JSON objects
 with one [re, im] decimal pair per entry.  All floats are written with 17
 significant digits, which round-trips IEEE doubles losslessly, and objects
 are emitted with sorted keys so serialization is byte-deterministic.
+
+One writer, :func:`_render_matrix`, turns every matrix into text.  The
+payload dict of a matrix carries that text, so a matrix written to a file
+and embedded in a report is rendered once.
 """
 
 from __future__ import annotations
@@ -41,7 +45,39 @@ def _format_float(x: float) -> str:
     return text
 
 
+# Entry templates indexed by 2 * (re is bare) + (im is bare).  A float is
+# bare when %.17g prints it without a fraction part or an exponent: an
+# integer below 1e17 in magnitude.  %.1f prints the same digits plus ".0",
+# which is what _format_float writes for it.
+_ENTRY = ("[%.17g,%.17g]", "[%.17g,%.1f]", "[%.1f,%.17g]", "[%.1f,%.1f]")
+
+
+def _render_matrix(pairs: np.ndarray) -> str:
+    """JSON text of a matrix payload from its rows x cols x 2 [re, im] floats.
+
+    The same bytes as :func:`dumps_deterministic` of the nested-list
+    payload, formatted in one pass.  The floats must be finite.
+    """
+    rows, cols, _ = pairs.shape
+    bare = (np.floor(pairs) == pairs) & (np.abs(pairs) < 1e17)
+    kinds = (2 * bare[..., 0] + bare[..., 1]).tolist()
+    template = ",".join("[" + ",".join([_ENTRY[k] for k in row]) + "]" for row in kinds)
+    data = template % tuple(pairs.ravel().tolist())
+    return f'{{"cols":{cols},"data":[{data}],"rows":{rows}}}'
+
+
+class _RenderedPayload(dict):
+    """A matrix payload dict that carries its JSON text in ``text``."""
+
+    def __init__(self, pairs: np.ndarray):
+        rows, cols, _ = pairs.shape
+        super().__init__(rows=rows, cols=cols, data=pairs.tolist())
+        self.text = _render_matrix(pairs)
+
+
 def _emit(obj) -> str:
+    if isinstance(obj, _RenderedPayload):
+        return obj.text
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}:{_emit(v)}" for k, v in sorted(obj.items()))
         return "{" + ",".join(parts) + "}"
@@ -66,11 +102,13 @@ def dumps_deterministic(obj) -> str:
 
 
 def matrix_to_payload(m) -> dict:
-    """Matrix as a JSON-ready dict of [re, im] pairs."""
+    """Matrix as a JSON-ready dict of [re, im] pairs, rendered once.
+
+    :func:`dumps_deterministic` writes the text rendered here for the dict,
+    so the dict must not be changed after it is built.
+    """
     m = as_complex_matrix(m)
-    rows, cols = m.shape
-    data = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(cols)] for i in range(rows)]
-    return {"rows": rows, "cols": cols, "data": data}
+    return _RenderedPayload(np.stack([m.real, m.imag], -1))
 
 
 def payload_to_matrix(payload) -> np.ndarray:
@@ -120,9 +158,12 @@ def parse_matrix_file(path) -> np.ndarray:
     return payload_to_matrix(payload)
 
 
-def write_matrix_file(path, m) -> None:
+def write_matrix_file(path, m) -> dict:
+    """Write a matrix file; returns its payload, which holds the text written."""
+    payload = matrix_to_payload(m)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_deterministic(matrix_to_payload(m)))
+        handle.write(dumps_deterministic(payload))
+    return payload
 
 
 @dataclass

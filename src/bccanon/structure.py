@@ -19,9 +19,9 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import UnsupportedOrder
+from .linalg import block_diag
 
 __all__ = [
     "Parity",

@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from bccanon import symplectic_matrix
-from bccanon.cli import run_command
+from bccanon import matio, symplectic_matrix
+from bccanon.cli import main, run_command
 from bccanon.matio import parse_matrix_file, payload_to_matrix, write_matrix_file
 
 
@@ -205,6 +205,114 @@ class TestEnvironmentTolerance:
 
         _, flag_wins = run_command(["check", a_path, b_path, "--tol", "1e-12"])
         assert flag_wins == 1
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("value", ["5", "nan", "0", "-1"])
+    def test_out_of_range_tol_flag(self, fixtures_dir, value):
+        a, b = str(fixtures_dir / "dirichlet_A.json"), str(fixtures_dir / "dirichlet_B.json")
+        report, code = run_command(["check", a, b, "--tol", value])
+        assert code == 2
+        assert report.verdict.startswith("error: --tol: residual_abs")
+
+    @pytest.mark.parametrize("value", ["-1", "2", "nan"])
+    def test_out_of_range_tol_environment(self, fixtures_dir, monkeypatch, value):
+        monkeypatch.setenv("BC_CANON_TOL", value)
+        a, b = str(fixtures_dir / "dirichlet_A.json"), str(fixtures_dir / "dirichlet_B.json")
+        report, code = run_command(["classify", a, b])
+        assert code == 2
+        assert report.verdict.startswith("error: BC_CANON_TOL: residual_abs")
+
+    def test_out_of_range_tol_prints_no_traceback(self, fixtures_dir):
+        a, b = str(fixtures_dir / "dirichlet_A.json"), str(fixtures_dir / "dirichlet_B.json")
+        result = run_cli("check", a, b, "--tol", "5")
+        assert result.returncode == 2
+        assert "verdict: error: --tol" in result.stdout
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_selftest_needs_a_trial(self, trials):
+        report, code = run_command(["selftest", "--orders", "3", "--trials", trials])
+        assert code == 2
+        assert report.verdict == f"error: --trials must be at least 1, got {trials}"
+
+
+_SCIPY_GUARD = """
+import sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+import bccanon
+assert not scipy_modules(), ("import bccanon", scipy_modules()[:3])
+import bccanon.cli
+assert not scipy_modules(), ("import bccanon.cli", scipy_modules()[:3])
+try:
+    bccanon.cli.main(["--version"])
+except SystemExit:
+    pass
+assert not scipy_modules(), ("--version", scipy_modules()[:3])
+assert bccanon.cli.main(["check", sys.argv[1], sys.argv[2]]) == 0
+assert not scipy_modules(), ("check", scipy_modules()[:3])
+assert bccanon.cli.main(["canon", sys.argv[1], sys.argv[2], "--out", sys.argv[3]]) == 0
+assert "scipy.linalg" in sys.modules, "canon runs the CS decomposition on scipy"
+"""
+
+
+class TestLazyScipy:
+    def test_check_runs_without_scipy(self, fixtures_dir, tmp_path):
+        a, b = str(fixtures_dir / "dirichlet_A.json"), str(fixtures_dir / "dirichlet_B.json")
+        result = subprocess.run(
+            [sys.executable, "-c", _SCIPY_GUARD, a, b, str(tmp_path / "factors")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "verdict: self-adjoint" in result.stdout
+        assert "verdict: separated" in result.stdout
+
+
+class TestRenderOnce:
+    """Each matrix is rendered once; its file holds the text the report embeds."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        calls = []
+        render = matio._render_matrix
+
+        def counted(pairs):
+            calls.append(pairs.shape[:2])
+            return render(pairs)
+
+        monkeypatch.setattr(matio, "_render_matrix", counted)
+        return calls
+
+    @staticmethod
+    def _assert_files_spliced(stdout, out_dir, files):
+        report = json.loads(stdout)
+        for name, filename in files.items():
+            text = (out_dir / filename).read_text(encoding="utf-8")
+            assert text.endswith("\n") and text.count("\n") == 1
+            assert f'"{name}":{text[:-1]}' in stdout
+            assert report["factors"][name] == json.loads(text)
+
+    @pytest.mark.parametrize("order", [5, 6])
+    def test_canon(self, tmp_path, capsys, renders, order):
+        gen = tmp_path / "pair"
+        _, code = run_command(["generate", "--order", str(order), "--seed", "4", "--out", str(gen)])
+        assert code == 0
+        renders.clear()
+        out = tmp_path / "factors"
+        assert main(["canon", str(gen / "A.json"), str(gen / "B.json"), "--out", str(out), "--format", "json"]) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert len(files) == (9 if order % 2 else 10)
+        assert len(renders) == len(files)
+        self._assert_files_spliced(capsys.readouterr().out, out, files)
+
+    def test_generate(self, tmp_path, capsys, renders):
+        assert main(["generate", "--order", "7", "--seed", "2", "--out", str(tmp_path), "--format", "json"]) == 0
+        assert len(renders) == 2
+        self._assert_files_spliced(capsys.readouterr().out, tmp_path, {"A": "A.json", "B": "B.json"})
 
 
 class TestFixtureConsistency:

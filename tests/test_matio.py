@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bccanon import DimensionMismatch, ParseError, random_unitary
+from bccanon import matio
 from bccanon.matio import (
     Report,
     dumps_deterministic,
@@ -60,6 +61,84 @@ class TestMatrixPayload:
         m = random_unitary(4, seed)
         back = payload_to_matrix(json.loads(dumps_deterministic(matrix_to_payload(m))))
         assert back.tobytes() == m.tobytes()
+
+
+# Values where %.17g changes form or a fraction part must be added: signed
+# zeros, small integers, the last integers before the exponent form (1e17),
+# the exponent form itself, the smallest subnormal and the largest double.
+_EDGE_VALUES = (
+    0.0, 1.0, -2.0, 1e16, 99999999999999984.0, 1e17, 1e20, 1e-5, 5e-324, 1.7976931348623157e308,
+)
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_VALUES + tuple(-v for v in _EDGE_VALUES)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _matrices(draw):
+    k = draw(st.integers(1, 5))
+    rows, cols = draw(st.sampled_from([(1, 1), (1, k), (k, k)]))
+    values = draw(st.lists(_FLOATS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(values).view(complex).reshape(rows, cols)
+
+
+def _plain_payload(m):
+    """The payload as nested lists, built entry by entry."""
+    rows, cols = m.shape
+    data = [[[float(m[i, j].real), float(m[i, j].imag)] for j in range(cols)] for i in range(rows)]
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+class TestOneWriter:
+    @given(m=_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_generic_writer(self, m):
+        payload = matrix_to_payload(m)
+        plain = _plain_payload(m)
+        assert dumps_deterministic(payload) == dumps_deterministic(plain)
+        assert np.array(payload["data"]).tobytes() == np.array(plain["data"]).tobytes()
+
+    @given(m=_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_text_round_trips_bits(self, m):
+        back = payload_to_matrix(json.loads(dumps_deterministic(matrix_to_payload(m))))
+        assert back.tobytes() == m.tobytes()
+
+    def test_strided_input(self):
+        m = random_unitary(4, 2)[::2, ::-1].T
+        assert dumps_deterministic(matrix_to_payload(m)) == dumps_deterministic(_plain_payload(m))
+
+    def test_real_input(self):
+        m = np.array([[1.0, -0.0, 0.5]])
+        assert dumps_deterministic(matrix_to_payload(m)) == (
+            '{"cols":3,"data":[[[1.0,0.0],[-0.0,0.0],[0.5,0.0]]],"rows":1}\n'
+        )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad, tmp_path):
+        m = np.ones((2, 2), dtype=complex)
+        m[1, 0] = complex(0.0, bad)
+        with pytest.raises(ValueError):
+            matrix_to_payload(m)
+        with pytest.raises(ValueError):
+            write_matrix_file(tmp_path / "m.json", m)
+        with pytest.raises(ValueError):
+            dumps_deterministic({"x": bad})
+
+    def test_file_holds_the_payload_text(self, tmp_path):
+        path = tmp_path / "u.json"
+        payload = write_matrix_file(path, random_unitary(3, 4))
+        assert path.read_text(encoding="utf-8") == dumps_deterministic(payload)
+
+    def test_one_render_per_payload(self, monkeypatch):
+        calls = []
+        render = matio._render_matrix
+        monkeypatch.setattr(matio, "_render_matrix", lambda pairs: calls.append(1) or render(pairs))
+        payload = matrix_to_payload(random_unitary(3, 5))
+        dumps_deterministic({"factors": {"U": payload}})
+        dumps_deterministic(payload)
+        assert len(calls) == 1
 
 
 class TestMatrixFiles:
