@@ -165,10 +165,10 @@ def _cmd_canon(args) -> tuple[Report, int]:
             "middle": form.middle,
             "Z": form.Z,
             "W": form.W,
-            "V1": form.V1,
-            "U1": form.U1,
-            "U2": form.U2,
-            "V2": form.V2,
+            "V1": form.cs.v1,
+            "U1": form.cs.u1,
+            "U2": form.cs.u2,
+            "V2": form.cs.v2,
             "C_diag": form.cos.reshape(1, -1),
             "S_diag": form.sin.reshape(1, -1),
         }
@@ -208,6 +208,8 @@ def _cmd_generate(args) -> tuple[Report, int]:
         spec = OrderSpec.from_order(args.order)
     except UnsupportedOrder as exc:
         raise ParseError(str(exc)) from exc
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     try:
         pair = generate_random_pair(spec, args.seed, target_unit_cosines=args.unit_cosines, tol=tol)
     except InvalidTarget as exc:

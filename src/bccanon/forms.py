@@ -9,12 +9,14 @@ exactly when
 with C_m the signed antidiagonal symplectic matrix.  For odd m = 2n+1
 every self-adjoint pair is, up to invertible row operations, of the
 normalized form (I : W) V* for a unique unitary W, where V is the explicit
-eigenbasis of C_m (+) -C_m.  Feeding W through a CS decomposition yields
-the canonical factorization (A : B) = (1/sqrt 2) Q1 @ core @ Q2 whose
-sparse central block exposes the cosine/sine spectrum, the rank of A and B
-(through the K matrix), and the mixed/coupled classification.  Even m = 2n
-admits the analogous factorization U @ middle @ blockdiag(...) @ Z with a
-separated/mixed/coupled trichotomy read off the sine diagonal.
+eigenbasis of C_m (+) -C_m.  The rank of A and B and the mixed/coupled
+classification are the rank of one corner block of W.  Feeding W through
+a CS decomposition yields the canonical factorization
+(A : B) = (1/sqrt 2) Q1 @ core @ Q2 whose sparse central block exposes the
+cosine/sine spectrum.  Even m = 2n admits the analogous factorization
+U @ middle @ blockdiag(...) @ Z with a separated/mixed/coupled trichotomy
+read off the sines, the singular values of W's lower-left block.  The CS
+decomposition runs only when a factor is read.
 """
 
 from __future__ import annotations
@@ -262,50 +264,57 @@ def _k_matrix(cs: CsFactors) -> np.ndarray:
     return (cs.u1, cs.u2)[big][rest, :] @ cs.core[block, block]
 
 
-def _unit_rank(values: np.ndarray, tol: Tolerances) -> int:
-    """Number of ``values`` above ``rank_rel``, for values of unit scale.
+def _unit_rank(block: np.ndarray, tol: Tolerances) -> int:
+    """Number of singular values of ``block`` above ``rank_rel``.
 
-    Sines and singular values of blocks of a unitary have unit natural
-    scale, so the cutoff is absolute; a relative one would count roundoff
-    as rank when a block should be zero.
+    Blocks of a unitary have singular values of unit natural scale (the
+    sines among them), so the cutoff is absolute; a relative one would
+    count roundoff as rank when a block should be zero.
     """
-    return int(np.count_nonzero(values > tol.rank_rel))
+    return int(np.count_nonzero(np.linalg.svd(block, compute_uv=False) > tol.rank_rel))
 
 
-def _odd_null_count(cs: CsFactors, tol: Tolerances) -> int:
-    """Nullity of I - K K* = M M*, i.e. n - rank M, with M = U_big[rest, rest] diag(sin).
+def _corner_blocks(w: np.ndarray, spec: OrderSpec):
+    """((offset, block) for rank A, (offset, block) for rank B) of an odd order.
 
-    The identity holds because the rows ``rest`` of U_big are orthonormal
-    and the structural unit has cosine 1; U_big's angle columns are its
-    non-structural ones, the same slice ``rest``.
+    rank A = offset + unit rank of its block, and likewise for rank B.
     """
-    big, _, rest, _ = _odd_layout(cs)
-    m = (cs.u1, cs.u2)[big][rest, rest] * cs.sin
-    return len(cs.sin) - _unit_rank(np.linalg.svd(m, compute_uv=False), tol)
+    n = spec.n
+    if spec.parity is Parity.ODD_N:
+        return (n, w[n:, : n + 1]), (n + 1, w[:n, n + 1 :])
+    if spec.parity is Parity.EVEN_N:
+        return (n + 1, w[n + 1 :, :n]), (n, w[: n + 1, n:])
+    raise UnsupportedOrder("coupling_block_ranks is defined for odd order only")
 
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
     """Odd-order canonical factorization of a boundary pair.
 
-    Holds the recovered W, its CS factors and the rank decisions.  The
-    factors are derived from them on first access and then cached.  They
-    satisfy ``(1/sqrt 2) Q1 @ core @ Q2 == construct_from_W(W, spec)``,
-    i.e. reconstruction agrees with the row-normalized representative of
-    the input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
-    ``Q3 = selector @ Q4``.  The K matrix drives rank and classification:
-    rank A = rank B = 2n+1 - (n - rank M), where M M* = I - K K* and
-    M = U_big[rest, rest] diag(sin) (see :func:`_odd_null_count`).
+    Holds the recovered W, the tolerances and the rank decisions.  The CS
+    factors ``cs`` of W and every factor built from them are derived on
+    first access and then cached; the first such read runs the CS
+    decomposition and may raise ConvergenceFailure.  The factors satisfy
+    ``(1/sqrt 2) Q1 @ core @ Q2 == construct_from_W(W, spec)``, i.e.
+    reconstruction agrees with the row-normalized representative of the
+    input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
+    ``Q3 = selector @ Q4``.  rank A = rank B is decided on a corner block of
+    W (see :func:`coupling_block_ranks`); it equals 2n+1 - (n - rank M),
+    where M M* = I - K K* and M = U_big[rest, rest] diag(sin).
     """
 
     spec: OrderSpec
-    cs: CsFactors
     W: np.ndarray
+    tol: Tolerances
     null_count: int
     predicted_rank_A: int
     predicted_rank_B: int
     classification: Classification
     r: int
+
+    @cached_property
+    def cs(self) -> CsFactors:
+        return cs_decompose(self.W, *self.spec.csd_partition, self.tol)
 
     @cached_property
     def Q1(self) -> np.ndarray:
@@ -344,23 +353,22 @@ class CanonicalForm:
 def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     """Canonical factorization of a self-adjoint odd-order pair.
 
-    Recovers the coupling unitary W, CS-decomposes it over the
-    parity-dependent partition (n+1, n) or (n, n+1), and decides the rank
-    and classification from I - K K* = M M*.  The factors, K included, are
-    left to the returned form to derive when read.
+    Recovers the coupling unitary W and decides the rank and classification
+    from the rank A corner block of W.  The CS decomposition of W over the
+    parity-dependent partition (n+1, n) or (n, n+1), and every factor built
+    from it, are left to the returned form to derive when read.
     """
     spec = pair.spec
     if not spec.is_odd_order:
         raise UnsupportedOrder("canonical_decompose handles odd order; use even_canonical_decompose")
     w = recover_W(pair, tol)
-    p, q = spec.csd_partition
-    cs = cs_decompose(w, p, q, tol)
-    null_count = _odd_null_count(cs, tol)
-    rank = spec.m - null_count
+    offset, block = _corner_blocks(w, spec)[0]
+    rank = offset + _unit_rank(block, tol)
+    null_count = spec.m - rank
     return CanonicalForm(
         spec=spec,
-        cs=cs,
         W=w,
+        tol=tol,
         null_count=null_count,
         predicted_rank_A=rank,
         predicted_rank_B=rank,
@@ -381,62 +389,46 @@ def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
 
 
 def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
-    """Alternative rank route via the ranks of W's corner blocks.
+    """(rank A, rank B) of an odd-order pair from the corner blocks of its W.
 
     For odd n: rank A = n + rank of the lower-left (n+1) x (n+1) block,
     rank B = n+1 + rank of the upper-right n x n block; the roles flip for
-    even n.  Cross-checks the K-matrix formula on concrete inputs.
+    even n.  Ranks count singular values above the absolute cutoff
+    ``rank_rel``.  :func:`canonical_decompose` decides with the rank A block.
     """
-    w = as_complex_matrix(w)
-    n = spec.n
-
-    def rank(block):
-        return _unit_rank(np.linalg.svd(block, compute_uv=False), tol)
-
-    if spec.parity is Parity.ODD_N:
-        rank_a = n + rank(w[n:, : n + 1])
-        rank_b = n + 1 + rank(w[:n, n + 1 :])
-    elif spec.parity is Parity.EVEN_N:
-        rank_a = n + 1 + rank(w[n + 1 :, :n])
-        rank_b = n + rank(w[: n + 1, n:])
-    else:
-        raise UnsupportedOrder("coupling_block_ranks is defined for odd order only")
-    return rank_a, rank_b
+    blocks = _corner_blocks(as_complex_matrix(w), spec)
+    return tuple(offset + _unit_rank(block, tol) for offset, block in blocks)
 
 
 @dataclass(frozen=True, eq=False)
 class EvenCanonicalForm:
     """Even-order canonical factorization (A : B) = U @ middle @ right @ Z.
 
-    U is 2n x 2n invertible (not necessarily unitary), ``middle`` is the
-    sparse block [C I 0 S; -S 0 I C], ``right`` the block diagonal of
+    U = P @ blockdiag(U1, U2) is 2n x 2n invertible (not necessarily
+    unitary), with P the coefficient matrix of the recovery, ``middle`` is
+    the sparse block [C I 0 S; -S 0 I C], ``right`` the block diagonal of
     V1, U1*, U2*, V2, and Z the fixed unitary right factor.  Classification
-    is read off the sine diagonal: separated iff S = 0, coupled iff S has
-    full rank n, mixed in between.
+    is read off the sines, the singular values of W's lower-left n x n
+    block: separated iff S = 0, coupled iff S has full rank n, mixed in
+    between.  The CS factors ``cs`` and every factor built from them, U
+    included, are derived on first access and then cached; the first such
+    read runs the CS decomposition and may raise ConvergenceFailure.
     """
 
     n: int
-    U: np.ndarray
-    cs: CsFactors
     W: np.ndarray
+    P: np.ndarray
+    tol: Tolerances
     rank_S: int
     classification: Classification
 
-    @property
-    def U1(self) -> np.ndarray:
-        return self.cs.u1
+    @cached_property
+    def cs(self) -> CsFactors:
+        return cs_decompose(self.W, self.n, self.n, self.tol)
 
-    @property
-    def U2(self) -> np.ndarray:
-        return self.cs.u2
-
-    @property
-    def V1(self) -> np.ndarray:
-        return self.cs.v1
-
-    @property
-    def V2(self) -> np.ndarray:
-        return self.cs.v2
+    @cached_property
+    def U(self) -> np.ndarray:
+        return self.P @ block_diag(self.cs.u1, self.cs.u2)
 
     @property
     def cos(self) -> np.ndarray:
@@ -467,9 +459,10 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
     """Canonical factorization for even order m = 2n.
 
     Mirrors the odd pipeline with the Z-derived eigenbasis and a balanced
-    CS partition p = q = n; the recovered left coefficient matrix supplies
-    the exact invertible factor U, so reconstruction matches the input pair
-    itself (not only its row space).
+    CS partition p = q = n.  rank S is the unit rank of W's lower-left
+    n x n block, whose singular values are the sines.  The recovered left
+    coefficient matrix P supplies the exact invertible factor U, so
+    reconstruction matches the input pair itself (not only its row space).
     """
     spec = pair.spec
     if spec.parity is not Parity.EVEN_ORDER:
@@ -478,9 +471,7 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
     n = spec.n
     basis = even_order_eigenbasis(n)
     w, p_coef = _recover_coupling(pair.stacked(), basis, tol)
-    cs = cs_decompose(w, n, n, tol)
-    u = p_coef @ block_diag(cs.u1, cs.u2)
-    rank_s = _unit_rank(cs.sin, tol)
+    rank_s = _unit_rank(w[n:, :n], tol)
     if rank_s == 0:
         classification = Classification.SEPARATED
     elif rank_s == n:
@@ -489,9 +480,9 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
         classification = Classification.MIXED
     return EvenCanonicalForm(
         n=n,
-        U=u,
-        cs=cs,
         W=w,
+        P=p_coef,
+        tol=tol,
         rank_S=rank_s,
         classification=classification,
     )
@@ -509,9 +500,10 @@ def generate_random_pair(
     ``target_unit_cosines = k`` exactly k cosines are set to 1 and the rest
     are drawn uniformly from (1e-3, 1 - 1e-3), which pins the nullity of
     I - K K* = M M* to k for odd order (hence rank A = 2n+1-k) and the sine
-    rank to n-k for even order.  Since the corner factors enter K, the
-    realized count is verified and the pair is resampled under a derived
-    seed on the (probability-zero) mismatches.
+    rank to n-k for even order.  The realized count is verified by the
+    corner-block rank decision, which runs no CS decomposition, and the
+    pair is resampled under a derived seed on the (probability-zero)
+    mismatches.
     """
     n = spec.n
     if target_unit_cosines is not None and not 0 <= target_unit_cosines <= n:

@@ -18,11 +18,12 @@ from .forms import (
     canonical_decompose,
     check_self_adjoint,
     construct_from_W,
-    coupling_block_ranks,
     even_canonical_decompose,
     generate_random_pair,
     recover_W,
     BoundaryPair,
+    _odd_layout,
+    _unit_rank,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -112,8 +113,15 @@ def _check_recover_round_trip(orders, trials, tol):
     ]
 
 
+def _m_route_rank(form, tol) -> int:
+    """rank A as 2n+1 - (n - rank M), with M M* = I - K K* and M = U_big[rest, rest] diag(sin)."""
+    big, _, rest, _ = _odd_layout(form.cs)
+    m = (form.cs.u1, form.cs.u2)[big][rest, rest] * form.cs.sin
+    return form.spec.m - len(form.cs.sin) + _unit_rank(m, tol)
+
+
 def _check_rank_agreement(orders, trials, tol):
-    equal = bounds = formula = blocks = True
+    equal = bounds = blocks = m_route = True
     for spec in _odd_specs(orders):
         n = spec.n
         for t in range(trials):
@@ -123,16 +131,15 @@ def _check_rank_agreement(orders, trials, tol):
             rank_b = numerical_rank(pair.B, tol)
             form = canonical_decompose(pair, tol)
             pa, pb = form.predicted_rank_A, form.predicted_rank_B
-            ba, bb = coupling_block_ranks(form.W, spec, tol)
             equal = equal and rank_a == rank_b
             bounds = bounds and (n + 1 <= rank_a <= 2 * n + 1)
-            formula = formula and pa == rank_a and pb == rank_b and rank_a == spec.m - k
-            blocks = blocks and ba == rank_a and bb == rank_b
+            blocks = blocks and pa == rank_a and pb == rank_b and rank_a == spec.m - k
+            m_route = m_route and _m_route_rank(form, tol) == rank_a
     return [
         CheckResult("rank_equality", equal, 0.0, "rank A == rank B"),
         CheckResult("rank_bounds", bounds, 0.0, "n+1 <= rank A <= 2n+1"),
-        CheckResult("rank_formula_vs_svd", formula, 0.0, "2n+1 - (n - rank M) == SVD rank, M M* = I - K K*"),
-        CheckResult("rank_block_route", blocks, 0.0, "corner-block ranks agree"),
+        CheckResult("rank_corner_block_vs_svd", blocks, 0.0, "corner-block rank of W == SVD rank"),
+        CheckResult("rank_m_route_vs_svd", m_route, 0.0, "2n+1 - (n - rank M) == SVD rank, M M* = I - K K*"),
     ]
 
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bccanon import matio, symplectic_matrix
+from bccanon import ConvergenceFailure, matio, symplectic_matrix
 from bccanon.cli import main, run_command
 from bccanon.matio import parse_matrix_file, payload_to_matrix, write_matrix_file
 
@@ -236,40 +236,105 @@ class TestUsageErrors:
         assert code == 2
         assert report.verdict == f"error: --trials must be at least 1, got {trials}"
 
+    def test_negative_seed(self, tmp_path):
+        result = run_cli("generate", "--order", "5", "--seed", "-1", "--out", str(tmp_path / "pair"))
+        assert result.returncode == 2
+        assert "verdict: error: --seed must be non-negative, got -1" in result.stdout
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "pair").exists()
 
-_SCIPY_GUARD = """
+
+_SCIPY_PRELUDE = """
+import os
 import sys
+
+fixtures, out = sys.argv[1:3]
+dirichlet = [os.path.join(fixtures, f"dirichlet_{x}.json") for x in "AB"]
+w_identity = [os.path.join(fixtures, f"w_identity_{x}.json") for x in "AB"]
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
+def assert_no_scipy(step):
+    assert not scipy_modules(), (step, scipy_modules()[:3])
+
 import bccanon
-assert not scipy_modules(), ("import bccanon", scipy_modules()[:3])
+assert_no_scipy("import bccanon")
 import bccanon.cli
-assert not scipy_modules(), ("import bccanon.cli", scipy_modules()[:3])
+assert_no_scipy("import bccanon.cli")
+"""
+
+_SCIPY_CHECK = """
 try:
     bccanon.cli.main(["--version"])
 except SystemExit:
     pass
-assert not scipy_modules(), ("--version", scipy_modules()[:3])
-assert bccanon.cli.main(["check", sys.argv[1], sys.argv[2]]) == 0
-assert not scipy_modules(), ("check", scipy_modules()[:3])
-assert bccanon.cli.main(["canon", sys.argv[1], sys.argv[2], "--out", sys.argv[3]]) == 0
+assert_no_scipy("--version")
+assert bccanon.cli.main(["check", *dirichlet]) == 0
+assert_no_scipy("check")
+assert bccanon.cli.main(["canon", *dirichlet, "--out", os.path.join(out, "factors")]) == 0
 assert "scipy.linalg" in sys.modules, "canon runs the CS decomposition on scipy"
 """
+
+_SCIPY_DECISIONS = """
+for argv in (
+    ["classify", *dirichlet],
+    ["classify", *w_identity],
+    ["generate", "--order", "5", "--seed", "3", "--unit-cosines", "1", "--out", os.path.join(out, "odd")],
+    ["generate", "--order", "6", "--seed", "3", "--unit-cosines", "1", "--out", os.path.join(out, "even")],
+):
+    assert bccanon.cli.main(argv) == 0, argv
+    assert_no_scipy(argv[:2])
+"""
+
+
+def _run_scipy_guard(body, fixtures_dir, tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PRELUDE + body, str(fixtures_dir), str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 class TestLazyScipy:
     def test_check_runs_without_scipy(self, fixtures_dir, tmp_path):
-        a, b = str(fixtures_dir / "dirichlet_A.json"), str(fixtures_dir / "dirichlet_B.json")
-        result = subprocess.run(
-            [sys.executable, "-c", _SCIPY_GUARD, a, b, str(tmp_path / "factors")],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "verdict: self-adjoint" in result.stdout
-        assert "verdict: separated" in result.stdout
+        stdout = _run_scipy_guard(_SCIPY_CHECK, fixtures_dir, tmp_path)
+        assert "verdict: self-adjoint" in stdout
+        assert "verdict: separated" in stdout
+
+    def test_classify_and_generate_run_without_scipy(self, fixtures_dir, tmp_path):
+        stdout = _run_scipy_guard(_SCIPY_DECISIONS, fixtures_dir, tmp_path)
+        assert stdout.count("verdict: separated") == 1
+        assert stdout.count("verdict: mixed") == 1
+        assert stdout.count("verdict: ok") == 2
+
+
+class TestDeferredCsd:
+    """canon meets a failing CS decomposition when it reads a factor; classify never runs it."""
+
+    MESSAGE = "CSD did not converge"
+
+    def _fail(self, *args, **kwargs):
+        raise ConvergenceFailure(self.MESSAGE)
+
+    @pytest.mark.parametrize("stem", ["w_identity", "dirichlet"])
+    def test_canon_exit_three_classify_exit_zero(self, fixtures_dir, tmp_path, monkeypatch, stem):
+        a, b = (str(fixtures_dir / f"{stem}_{x}.json") for x in "AB")
+        with monkeypatch.context() as eager:
+            eager.setattr("bccanon.cli.canonical_decompose", self._fail)
+            eager.setattr("bccanon.cli.even_canonical_decompose", self._fail)
+            expected, expected_code = run_command(["canon", a, b, "--out", str(tmp_path / "eager")])
+        assert (expected.verdict, expected_code) == (f"error: {self.MESSAGE}", 3)
+
+        monkeypatch.setattr("bccanon.forms.cs_decompose", self._fail)
+        report, code = run_command(["canon", a, b, "--out", str(tmp_path / "deferred")])
+        assert (report.verdict, code) == (expected.verdict, expected_code)
+        assert not (tmp_path / "deferred").exists()
+        report, code = run_command(["classify", a, b])
+        assert code == 0
+        assert report.verdict == ("mixed" if stem == "w_identity" else "separated")
 
 
 class TestRenderOnce:

@@ -17,6 +17,7 @@ from bccanon import (
     classify,
     construct_from_W,
     coupling_block_ranks,
+    even_canonical_decompose,
     generate_random_pair,
     haar_unitary,
     numerical_rank,
@@ -196,15 +197,32 @@ class TestCanonicalDecompose:
             canonical_decompose(pair)
 
     def test_decisions_do_not_build_q4(self, monkeypatch):
-        def refuse(spec):
-            raise RuntimeError("Q4 built before it was read")
+        def refuse(*args):
+            raise RuntimeError("factor built before it was read")
 
         monkeypatch.setattr("bccanon.forms.q4_matrix", refuse)
-        for m in (5, 7):
-            pair = generate_random_pair(OrderSpec.from_order(m), 3, target_unit_cosines=1)
-            assert classify(pair) == (Classification.MIXED, (m - 1) // 2 - 1)
-        with pytest.raises(RuntimeError):
-            canonical_decompose(pair).Q4
+        monkeypatch.setattr("bccanon.forms.cs_decompose", refuse)
+        for m in (5, 6, 7, 8):
+            spec = OrderSpec.from_order(m)
+            n = spec.n
+            for k in range(n + 1):
+                pair = generate_random_pair(spec, 3, target_unit_cosines=k)
+                if spec.is_odd_order:
+                    form = canonical_decompose(pair)
+                    assert (form.null_count, form.predicted_rank_A, form.predicted_rank_B) == (k, m - k, m - k)
+                    expected = Classification.COUPLED if k == 0 else Classification.MIXED
+                    assert classify(pair) == (expected, n - k)
+                    factors = ("cs", "Q1", "core", "Q4", "Q3", "Q2", "K")
+                else:
+                    form = even_canonical_decompose(pair)
+                    assert form.rank_S == n - k
+                    expected = (Classification.SEPARATED if k == n
+                                else Classification.COUPLED if k == 0 else Classification.MIXED)
+                    factors = ("cs", "U", "middle", "right")
+                assert form.classification is expected
+                for name in factors:
+                    with pytest.raises(RuntimeError):
+                        getattr(form, name)
 
     @pytest.mark.parametrize("m", [5, 7])
     def test_factors_do_not_depend_on_read_order(self, m):

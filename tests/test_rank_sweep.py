@@ -2,8 +2,10 @@
 
 W is built from its CS decomposition with one sine swept over 1e-3 ... 1e-13
 and the other angles generic.  Odd order reads rank A three ways: the form
-(n - rank M, with M M* = I - K K*), the SVD of A, and the corner blocks of
-W.  Even order reads it as n + rank S.  The unit-scale ranks cut sines and
+(the rank A corner block of W), the SVD of A, and 2n+1 - (n - rank M) from
+the CS factors, with M M* = I - K K*.  Even order reads rank S two ways:
+the form (the lower-left block of W) and the sines of the CS factors, and
+checks n + rank S against the SVD of A.  The unit-scale ranks cut sines and
 singular values at 1e-10, the SVD of A at 1e-10 relative to its largest
 singular value, so the routes may differ only near that cutoff: sines in
 the band [1e-11, 1e-9] are not swept.
@@ -14,11 +16,11 @@ import pytest
 from scipy.linalg import block_diag
 
 from bccanon import (
+    DEFAULT_TOL,
     OrderSpec,
     canonical_decompose,
     construct_even_from_W,
     construct_from_W,
-    coupling_block_ranks,
     cs_core,
     even_canonical_decompose,
     haar_unitary,
@@ -38,6 +40,19 @@ def one_small_sine_unitary(spec, sine, rng):
     return left @ cs_core(p, q, cos, sin) @ right
 
 
+def m_route_rank_a(form):
+    """2n+1 - (n - rank M) with M = U_big[rest, rest] diag(sin).
+
+    The CS block with n+1 rows is block 1, structural unit last, when p > q,
+    and block 2, structural unit first, when q > p.
+    """
+    cs = form.cs
+    n = len(cs.sin)
+    m_block = (cs.u1[:n, :n] if cs.p > cs.q else cs.u2[1:, 1:]) * cs.sin
+    rank_m = int(np.count_nonzero(np.linalg.svd(m_block, compute_uv=False) > DEFAULT_TOL.rank_rel))
+    return n + 1 + rank_m
+
+
 @pytest.mark.parametrize("m", [5, 7, 6, 8])
 @pytest.mark.parametrize("e", EXPONENTS)
 def test_rank_routes_agree(m, e):
@@ -48,10 +63,11 @@ def test_rank_routes_agree(m, e):
     if spec.is_odd_order:
         pair = construct_from_W(w, spec)
         form = canonical_decompose(pair)
-        assert form.predicted_rank_A == numerical_rank(pair.A) == coupling_block_ranks(w, spec)[0]
+        assert form.predicted_rank_A == numerical_rank(pair.A) == m_route_rank_a(form)
         assert form.predicted_rank_A == m - lost
     else:
         pair = construct_even_from_W(w, spec)
         form = even_canonical_decompose(pair)
         assert numerical_rank(pair.A) == n + form.rank_S
+        assert form.rank_S == np.count_nonzero(form.cs.sin > DEFAULT_TOL.rank_rel)
         assert form.rank_S == n - lost

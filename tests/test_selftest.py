@@ -20,8 +20,8 @@ def test_all_invariants_pass():
         "recover_row_op_invariance",
         "rank_equality",
         "rank_bounds",
-        "rank_formula_vs_svd",
-        "rank_block_route",
+        "rank_corner_block_vs_svd",
+        "rank_m_route_vs_svd",
         "canonical_reconstruction",
         "canonical_row_space",
         "classification_dichotomy",
