@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""SHA-256 digest of every byte the CLI prints and writes, for comparing commits.
+
+Usage: python scripts/output_digest.py INPUT_DIR OUT.json
+
+On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
+every (order, unit-cosine count) of ``GRID`` plus the ``dirichlet`` and
+``w_identity`` fixtures; later runs reuse whatever INPUT_DIR holds, so two
+commits digest the same inputs.  For each input the script runs ``check``,
+``classify`` and ``canon``, and for each grid point ``generate``, in
+``--format json`` and ``text``.  OUT.json maps each run to its exit code,
+the SHA-256 of its stdout and the SHA-256 of every file it wrote.
+
+The CLI runs as ``python -m bccanon.cli`` in a subprocess, so PYTHONPATH
+picks the commit under test; see the README for a two-commit comparison.
+"""
+
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ORDERS = (5, 6, 19, 20, 21, 64, 65)
+GRID = tuple((m, k) for m in ORDERS for k in (None, 0, 2))
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures")
+FORMATS = ("json", "text")
+
+
+def _generate_argv(m, k, out):
+    argv = ["generate", "--order", str(m), "--seed", str(m), "--out", out]
+    return argv if k is None else argv + ["--unit-cosines", str(k)]
+
+
+def _name(m, k):
+    return f"m{m}-k{'none' if k is None else k}"
+
+
+def _cli(argv, cwd):
+    # The CLI runs inside INPUT_DIR or a scratch directory: make PYTHONPATH absolute first.
+    path = [os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "bccanon.cli", *argv], cwd=cwd, env=env, capture_output=True, check=False
+    )
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def make_inputs(input_dir, grid=GRID):
+    """Fill ``input_dir`` with one A.json/B.json directory per input, unless it has them."""
+    os.makedirs(input_dir, exist_ok=True)
+    if os.listdir(input_dir):
+        return
+    for m, k in grid:
+        result = _cli(_generate_argv(m, k, _name(m, k)), input_dir)
+        if result.returncode != 0:
+            raise RuntimeError(f"generate {_name(m, k)} failed: {result.stdout!r}")
+    for stem in ("dirichlet", "w_identity"):
+        os.makedirs(os.path.join(input_dir, stem))
+        for side in "AB":
+            shutil.copyfile(os.path.join(FIXTURES, f"{stem}_{side}.json"), os.path.join(input_dir, stem, f"{side}.json"))
+
+
+def _record(result, out_dir):
+    files = {}
+    if os.path.isdir(out_dir):
+        for name in sorted(os.listdir(out_dir)):
+            with open(os.path.join(out_dir, name), "rb") as handle:
+                files[name] = _sha(handle.read())
+    return {"exit": result.returncode, "stdout": _sha(result.stdout), "files": files}
+
+
+def digest(input_dir, grid=GRID):
+    """{run name: {"exit", "stdout", "files"}} over every input and grid point."""
+    make_inputs(input_dir, grid)
+    runs = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for index, (m, k) in enumerate(grid):
+            for fmt in FORMATS:
+                work = os.path.join(scratch, f"generate{index}{fmt}")
+                os.makedirs(work)
+                # A relative --out keeps the paths the report prints the same on every machine.
+                result = _cli(_generate_argv(m, k, "out") + ["--format", fmt], work)
+                runs[f"generate {_name(m, k)} {fmt}"] = _record(result, os.path.join(work, "out"))
+        for name in sorted(os.listdir(input_dir)):
+            pair = [os.path.join(name, "A.json"), os.path.join(name, "B.json")]
+            for command in ("check", "classify", "canon"):
+                for fmt in FORMATS:
+                    out_dir = os.path.join(scratch, f"{command}-{name}-{fmt}")
+                    extra = ["--out", out_dir] if command == "canon" else []
+                    result = _cli([command, *pair, *extra, "--format", fmt], input_dir)
+                    runs[f"{command} {name} {fmt}"] = _record(result, out_dir)
+    return runs
+
+
+def main(argv):
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    input_dir, out_path = argv
+    runs = digest(os.path.abspath(input_dir))
+    with open(out_path, "w", encoding="utf-8") as handle:
+        json.dump(runs, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    files = sum(len(r["files"]) for r in runs.values())
+    failed = sum(r["exit"] != 0 for r in runs.values())
+    print(f"{len(runs)} runs ({failed} with a non-zero exit), {files} files -> {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

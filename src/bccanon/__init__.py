@@ -54,7 +54,6 @@ from .structure import (
     Parity,
     eigenbasis,
     even_order_Z,
-    even_order_eigenbasis,
     q4_matrix,
     symplectic_matrix,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "eigenbasis",
     "even_canonical_decompose",
     "even_order_Z",
-    "even_order_eigenbasis",
     "generate_random_pair",
     "haar_unitary",
     "numerical_rank",

@@ -7,10 +7,10 @@ Subcommands
     generate  synthesize a random self-adjoint pair to matrix files
     selftest  run the seeded invariant suite
 
-Exit codes: 0 success, 1 criterion-failure verdict, 2 input/usage error,
-3 numerical failure.  BC_CANON_TOL overrides residual_abs, the bound on
-the Gram residual of the self-adjointness check; the --tol flag wins over
-the environment.
+Exit codes: 0 success, 1 criterion-failure verdict, 2 input/usage error
+(an --out that cannot be created included), 3 numerical failure.
+BC_CANON_TOL overrides residual_abs, the bound on the Gram residual of the
+self-adjointness check; the --tol flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .forms import (
     even_canonical_decompose,
     generate_random_pair,
 )
-from .linalg import DEFAULT_TOL, Tolerances, numerical_rank, row_space_angles
+from .linalg import DEFAULT_TOL, Tolerances, row_space_angles
 from .matio import (
     Report,
     dumps_deterministic,
@@ -196,8 +196,8 @@ def _cmd_classify(args) -> tuple[Report, int]:
         out.metrics = {
             "m": pair.spec.m,
             "rank_S": form.rank_S,
-            "rank_A": numerical_rank(pair.A, tol),
-            "rank_B": numerical_rank(pair.B, tol),
+            "rank_A": pair.spec.n + form.rank_S,
+            "rank_B": pair.spec.n + form.rank_S,
         }
     return out, EXIT_OK
 
@@ -208,8 +208,6 @@ def _cmd_generate(args) -> tuple[Report, int]:
         spec = OrderSpec.from_order(args.order)
     except UnsupportedOrder as exc:
         raise ParseError(str(exc)) from exc
-    if args.seed < 0:
-        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     try:
         pair = generate_random_pair(spec, args.seed, target_unit_cosines=args.unit_cosines, tol=tol)
     except InvalidTarget as exc:
@@ -322,7 +320,7 @@ def _run(argv) -> tuple[Report, int, str]:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_USAGE, fmt
     except _NUMERICAL_ERRORS as exc:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_NUMERICAL, fmt
-    except BccanonError as exc:
+    except (BccanonError, OSError) as exc:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_USAGE, fmt
     return report, code, fmt
 

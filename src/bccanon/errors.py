@@ -34,7 +34,7 @@ class OddSize(BccanonError):
 
 
 class InvalidTarget(BccanonError):
-    """Requested unit-cosine count is outside the admissible range."""
+    """Requested seed or unit-cosine count is outside the admissible range."""
 
 
 class ParseError(BccanonError):

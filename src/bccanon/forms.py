@@ -6,17 +6,17 @@ exactly when
 
     rank (A : B) = m    and    A C_m A* = B C_m B*
 
-with C_m the signed antidiagonal symplectic matrix.  For odd m = 2n+1
+with C_m the signed antidiagonal symplectic matrix.  For either parity
 every self-adjoint pair is, up to invertible row operations, of the
 normalized form (I : W) V* for a unique unitary W, where V is the explicit
-eigenbasis of C_m (+) -C_m.  The rank of A and B and the mixed/coupled
-classification are the rank of one corner block of W.  Feeding W through
-a CS decomposition yields the canonical factorization
-(A : B) = (1/sqrt 2) Q1 @ core @ Q2 whose sparse central block exposes the
-cosine/sine spectrum.  Even m = 2n admits the analogous factorization
-U @ middle @ blockdiag(...) @ Z with a separated/mixed/coupled trichotomy
-read off the sines, the singular values of W's lower-left block.  The CS
-decomposition runs only when a factor is read.
+eigenbasis of the structure matrix.  The rank of A and B, and with it the
+number k = m - rank A of unit cosines and the class, is read off one corner
+block of W: coupled when k = 0, separated when rank A = n (even order
+only), mixed otherwise.  Feeding W through a CS decomposition yields the
+canonical factorization, (A : B) = (1/sqrt 2) Q1 @ core @ Q2 for odd
+m = 2n+1 and U @ middle @ blockdiag(...) @ Z for even m = 2n, whose sparse
+central block exposes the cosine/sine spectrum.  The CS decomposition runs
+only when a factor is read.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .structure import (
     Parity,
     eigenbasis,
     even_order_Z,
-    even_order_eigenbasis,
     q4_matrix,
     symplectic_matrix,
 )
@@ -148,27 +147,12 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
 
 
 def construct_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> BoundaryPair:
-    """Normalized self-adjoint pair (V11* + W V12* : V21* + W V22*) for odd order.
+    """Normalized self-adjoint pair (V11* + W V12* : V21* + W V22*) = (I : W) V*.
 
+    V is the eigenbasis of either parity (:func:`~bccanon.structure.eigenbasis`).
     Every unitary W yields a self-adjoint pair, and every self-adjoint pair
     is row-equivalent to exactly one pair of this form.
     """
-    w = as_complex_matrix(w)
-    basis = eigenbasis(spec)
-    if w.shape != (spec.m, spec.m):
-        raise ValueError(f"W must be {spec.m} x {spec.m}, got {w.shape}")
-    residual = unitarity_residual(w)
-    if residual > tol.unitary_abs:
-        raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
-    a = basis.V11.conj().T + w @ basis.V12.conj().T
-    b = basis.V21.conj().T + w @ basis.V22.conj().T
-    return BoundaryPair(A=a, B=b, spec=spec)
-
-
-def construct_even_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> BoundaryPair:
-    """Normalized self-adjoint even-order pair (I : W) V* from a 2n x 2n unitary."""
-    if spec.parity is not Parity.EVEN_ORDER:
-        raise UnsupportedOrder("construct_even_from_W needs an even-order spec")
     w = as_complex_matrix(w)
     m = spec.m
     if w.shape != (m, m):
@@ -176,21 +160,33 @@ def construct_even_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> 
     residual = unitarity_residual(w)
     if residual > tol.unitary_abs:
         raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
-    basis = even_order_eigenbasis(spec.n)
-    ab = np.hstack([np.eye(m, dtype=complex), w]) @ basis.conj().T
-    return BoundaryPair(A=ab[:, :m], B=ab[:, m:], spec=spec)
+    v = eigenbasis(spec).V
+    a = v[:m, :m].conj().T + w @ v[:m, m:].conj().T
+    b = v[m:, :m].conj().T + w @ v[m:, m:].conj().T
+    return BoundaryPair(A=a, B=b, spec=spec)
 
 
-def _recover_coupling(ab: np.ndarray, basis: np.ndarray, tol: Tolerances):
-    """Unique unitary W with (A : B) row-equivalent to (I : W) basis*.
+construct_even_from_W = construct_from_W
 
-    Splits the rows of (A : B) over the two column halves of the basis
-    (the two eigenspaces of the structure matrix), aligns the resulting
-    coefficient matrices through their SVDs, and composes the right
-    singular factors.  Returns (W, P) where P is the first-half coefficient
-    matrix, i.e. the exact left factor with (A : B) = P (I : W) basis*.
+
+def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
+    """Unique unitary W with (A : B) row-equivalent to (I : W) V*.
+
+    Checks the self-adjointness criterion, then splits the rows of (A : B)
+    over the two column halves of the eigenbasis V (the two eigenspaces of
+    the structure matrix), aligns the resulting coefficient matrices through
+    their SVDs, and composes the right singular factors.  Returns (W, P)
+    where P is the first-half coefficient matrix, i.e. the exact left factor
+    with (A : B) = P (I : W) V*.
     """
-    m = ab.shape[0]
+    rank_ab, rank_ok, gram_residual, gram_ok = _self_adjoint_criterion(pair, tol)
+    if not (rank_ok and gram_ok):
+        raise NotSelfAdjoint(
+            f"rank(A:B)={rank_ab} (need {pair.spec.m}), gram residual {gram_residual:.3e}"
+        )
+    m = pair.spec.m
+    ab = pair.stacked()
+    basis = eigenbasis(pair.spec).V
     p_coef = ab @ basis[:, :m]
     r_coef = ab @ basis[:, m:]
     up, sp, vph = np.linalg.svd(p_coef)
@@ -201,25 +197,14 @@ def _recover_coupling(ab: np.ndarray, basis: np.ndarray, tol: Tolerances):
     return w, p_coef
 
 
-def _require_self_adjoint(pair: BoundaryPair, tol: Tolerances) -> None:
-    rank_ab, rank_ok, gram_residual, gram_ok = _self_adjoint_criterion(pair, tol)
-    if not (rank_ok and gram_ok):
-        raise NotSelfAdjoint(
-            f"rank(A:B)={rank_ab} (need {pair.spec.m}), gram residual {gram_residual:.3e}"
-        )
-
-
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Invert :func:`construct_from_W` up to row equivalence (odd order).
+    """Invert :func:`construct_from_W` up to row equivalence.
 
     The result is invariant under left multiplication of the pair by any
     invertible matrix.  Raises NotSelfAdjoint when the rank/Gram criterion
     fails and RankDeficient on numerically singular coefficients.
     """
-    _require_self_adjoint(pair, tol)
-    basis = eigenbasis(pair.spec)
-    w, _ = _recover_coupling(pair.stacked(), basis.V, tol)
-    return w
+    return _recover_coupling(pair, tol)[0]
 
 
 def _central_block(cs: CsFactors, slots) -> np.ndarray:
@@ -275,16 +260,33 @@ def _unit_rank(block: np.ndarray, tol: Tolerances) -> int:
 
 
 def _corner_blocks(w: np.ndarray, spec: OrderSpec):
-    """((offset, block) for rank A, (offset, block) for rank B) of an odd order.
+    """((offset, block) for rank A, (offset, block) for rank B).
 
-    rank A = offset + unit rank of its block, and likewise for rank B.
+    rank A = offset + unit rank of its block, and likewise for rank B.  At
+    even order both blocks have the sines as singular values.
     """
     n = spec.n
     if spec.parity is Parity.ODD_N:
         return (n, w[n:, : n + 1]), (n + 1, w[:n, n + 1 :])
     if spec.parity is Parity.EVEN_N:
         return (n + 1, w[n + 1 :, :n]), (n, w[: n + 1, n:])
-    raise UnsupportedOrder("coupling_block_ranks is defined for odd order only")
+    return (n, w[n:, :n]), (n, w[:n, n:])
+
+
+def _decide(w: np.ndarray, spec: OrderSpec, tol: Tolerances):
+    """(rank A, class) of the pair with coupling unitary W, from one corner block.
+
+    k = m - rank A is the number of unit cosines: coupled when k = 0,
+    separated when rank A = n (k = n at even order; odd order always has
+    rank A > n), mixed otherwise.
+    """
+    offset, block = _corner_blocks(w, spec)[0]
+    rank = offset + _unit_rank(block, tol)
+    if rank == spec.m:
+        return rank, Classification.COUPLED
+    if rank == spec.n:
+        return rank, Classification.SEPARATED
+    return rank, Classification.MIXED
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,17 +364,15 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     if not spec.is_odd_order:
         raise UnsupportedOrder("canonical_decompose handles odd order; use even_canonical_decompose")
     w = recover_W(pair, tol)
-    offset, block = _corner_blocks(w, spec)[0]
-    rank = offset + _unit_rank(block, tol)
-    null_count = spec.m - rank
+    rank, classification = _decide(w, spec, tol)
     return CanonicalForm(
         spec=spec,
         W=w,
         tol=tol,
-        null_count=null_count,
+        null_count=spec.m - rank,
         predicted_rank_A=rank,
         predicted_rank_B=rank,
-        classification=Classification.COUPLED if null_count == 0 else Classification.MIXED,
+        classification=classification,
         r=rank - (spec.n + 1),
     )
 
@@ -389,12 +389,14 @@ def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
 
 
 def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
-    """(rank A, rank B) of an odd-order pair from the corner blocks of its W.
+    """(rank A, rank B) of a pair from the corner blocks of its W.
 
-    For odd n: rank A = n + rank of the lower-left (n+1) x (n+1) block,
-    rank B = n+1 + rank of the upper-right n x n block; the roles flip for
-    even n.  Ranks count singular values above the absolute cutoff
-    ``rank_rel``.  :func:`canonical_decompose` decides with the rank A block.
+    Odd order, odd n: rank A = n + rank of the lower-left (n+1) x (n+1)
+    block, rank B = n+1 + rank of the upper-right n x n block; the roles
+    flip for even n.  Even order m = 2n: rank A = n + rank W[n:, :n] and
+    rank B = n + rank W[:n, n:], i.e. n + rank S.  Ranks count singular
+    values above the absolute cutoff ``rank_rel``.  Both canonical
+    decompositions decide with the rank A block.
     """
     blocks = _corner_blocks(as_complex_matrix(w), spec)
     return tuple(offset + _unit_rank(block, tol) for offset, block in blocks)
@@ -458,32 +460,24 @@ class EvenCanonicalForm:
 def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> EvenCanonicalForm:
     """Canonical factorization for even order m = 2n.
 
-    Mirrors the odd pipeline with the Z-derived eigenbasis and a balanced
-    CS partition p = q = n.  rank S is the unit rank of W's lower-left
-    n x n block, whose singular values are the sines.  The recovered left
-    coefficient matrix P supplies the exact invertible factor U, so
-    reconstruction matches the input pair itself (not only its row space).
+    Shares the recovery and the rank decision with the odd pipeline and
+    uses a balanced CS partition p = q = n.  rank S = rank A - n is the
+    unit rank of W's lower-left n x n block, whose singular values are the
+    sines.  The recovered left coefficient matrix P supplies the exact
+    invertible factor U, so reconstruction matches the input pair itself
+    (not only its row space).
     """
     spec = pair.spec
     if spec.parity is not Parity.EVEN_ORDER:
         raise OddSize(f"pair has odd size {spec.m}; use canonical_decompose")
-    _require_self_adjoint(pair, tol)
-    n = spec.n
-    basis = even_order_eigenbasis(n)
-    w, p_coef = _recover_coupling(pair.stacked(), basis, tol)
-    rank_s = _unit_rank(w[n:, :n], tol)
-    if rank_s == 0:
-        classification = Classification.SEPARATED
-    elif rank_s == n:
-        classification = Classification.COUPLED
-    else:
-        classification = Classification.MIXED
+    w, p_coef = _recover_coupling(pair, tol)
+    rank, classification = _decide(w, spec, tol)
     return EvenCanonicalForm(
-        n=n,
+        n=spec.n,
         W=w,
         P=p_coef,
         tol=tol,
-        rank_S=rank_s,
+        rank_S=rank - spec.n,
         classification=classification,
     )
 
@@ -499,20 +493,22 @@ def generate_random_pair(
     Without a target the coupling unitary is Haar distributed.  With
     ``target_unit_cosines = k`` exactly k cosines are set to 1 and the rest
     are drawn uniformly from (1e-3, 1 - 1e-3), which pins the nullity of
-    I - K K* = M M* to k for odd order (hence rank A = 2n+1-k) and the sine
-    rank to n-k for even order.  The realized count is verified by the
+    I - K K* = M M* to k for odd order and the sine rank to n-k for even
+    order, hence rank A = m - k.  The realized count is verified by the
     corner-block rank decision, which runs no CS decomposition, and the
     pair is resampled under a derived seed on the (probability-zero)
-    mismatches.
+    mismatches.  Raises InvalidTarget for a negative seed or a target
+    outside [0, n].
     """
     n = spec.n
+    if seed < 0:
+        raise InvalidTarget(f"seed must be non-negative, got {seed}")
     if target_unit_cosines is not None and not 0 <= target_unit_cosines <= n:
         raise InvalidTarget(f"target_unit_cosines must lie in [0, {n}], got {target_unit_cosines}")
-    constructor = construct_from_W if spec.is_odd_order else construct_even_from_W
     for attempt in range(64):
         rng = np.random.default_rng([seed, attempt])
         if target_unit_cosines is None:
-            return constructor(haar_unitary(spec.m, rng), spec, tol)
+            return construct_from_W(haar_unitary(spec.m, rng), spec, tol)
         k = target_unit_cosines
         cos = np.sort(np.concatenate([np.ones(k), rng.uniform(1e-3, 1.0 - 1e-3, n - k)]))[::-1]
         sin = np.sqrt(1.0 - cos**2)
@@ -522,12 +518,9 @@ def generate_random_pair(
             @ cs_core(p, q, cos, sin)
             @ block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
         )
-        pair = constructor(w, spec, tol)
-        if spec.is_odd_order:
-            realized = canonical_decompose(pair, tol).null_count
-        else:
-            realized = n - even_canonical_decompose(pair, tol).rank_S
-        if realized == k:
+        pair = construct_from_W(w, spec, tol)
+        rank, _ = _decide(recover_W(pair, tol), spec, tol)
+        if spec.m - rank == k:
             return pair
     raise ConvergenceFailure(
         f"could not realize {target_unit_cosines} unit cosines after 64 attempts"

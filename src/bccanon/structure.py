@@ -3,11 +3,11 @@
 This module builds, in exact arithmetic up to 1/sqrt(2) factors:
 
 * the signed antidiagonal symplectic matrices ``C_m``,
-* the explicit unitary eigenbasis ``V`` that diagonalizes ``C_m (+) -C_m``
-  for odd order m = 2n+1 (with two layouts, one per parity of n),
+* the explicit unitary eigenbasis ``V`` that splits the two eigenspaces of
+  the structure matrix, for odd order m = 2n+1 (with two layouts, one per
+  parity of n) and for even order m = 2n (from the block rows of ``Z``),
 * the column transform ``Q4`` appearing in the canonical factorization,
-* the fixed right factor ``Z`` of the even-order (m = 2n) canonical form,
-  together with the eigenbasis derived from its block rows.
+* the fixed right factor ``Z`` of the even-order (m = 2n) canonical form.
 
 All index formulas are stated 1-based (matching the antidiagonal
 definition) and converted to 0-based storage internally.
@@ -31,7 +31,6 @@ __all__ = [
     "eigenbasis",
     "q4_matrix",
     "even_order_Z",
-    "even_order_eigenbasis",
 ]
 
 
@@ -113,34 +112,17 @@ def symplectic_matrix(m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
-    """Unitary V with ``(C_m (+) -C_m) V = V (-I_m (+) I_m)``.
+    """Unitary 2m x 2m V whose column halves span two opposite eigenspaces.
 
-    The first m columns span the eigenvalue -1 eigenspace and the last m
-    columns the eigenvalue +1 eigenspace.  Entries are 0, +-1/sqrt(2) or 1.
+    Odd order: ``(C_m (+) -C_m) V = V (-I_m (+) I_m)``, the first m columns
+    for eigenvalue -1, the last m for +1, entries 0, +-1/sqrt(2) or 1.
+    Even order: the halves are the two eigenspaces of the Hermitian
+    involution ``i C_m (+) -i C_m``.  Every self-adjoint pair is row
+    equivalent to ``(I : W) V*`` for exactly one unitary W.
     """
 
     spec: OrderSpec
     V: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
-
-    @property
-    def V11(self) -> np.ndarray:
-        return self.V[: self.m, : self.m]
-
-    @property
-    def V12(self) -> np.ndarray:
-        return self.V[: self.m, self.m :]
-
-    @property
-    def V21(self) -> np.ndarray:
-        return self.V[self.m :, : self.m]
-
-    @property
-    def V22(self) -> np.ndarray:
-        return self.V[self.m :, self.m :]
 
 
 def _column_blocks(n: int):
@@ -161,15 +143,19 @@ def _column_blocks(n: int):
 
 
 def eigenbasis(spec: OrderSpec) -> EigenBasis:
-    """Explicit diagonalizing eigenbasis for odd order m = 2n+1.
+    """Explicit diagonalizing eigenbasis of either parity.
 
-    The column layout depends on the parity of n; both variants place the
-    -1 eigenvectors first.  Raises UnsupportedOrder for even-order specs
-    (use :func:`even_order_eigenbasis` instead).
+    Odd order m = 2n+1: the column layout depends on the parity of n; both
+    variants place the -1 eigenvectors first.  Even order m = 2n: the
+    columns are the conjugated block rows of Z in the order (2, 3, 1, 4);
+    which sign of ``i C_2n (+) -i C_2n`` the first half carries flips with
+    the parity of n, and is immaterial to the recovery built on the basis.
     """
-    if spec.parity is Parity.EVEN_ORDER:
-        raise UnsupportedOrder("eigenbasis is defined for odd order only")
     n, m = spec.n, spec.m
+    if spec.parity is Parity.EVEN_ORDER:
+        z = even_order_Z(n)
+        rows = [z[i * n : (i + 1) * n, :].conj().T for i in range(4)]
+        return EigenBasis(spec=spec, V=np.hstack([rows[1], rows[2], rows[0], rows[3]]))
     plus, minus, unit = _column_blocks(n)
     zn = np.zeros((m, n), dtype=complex)
     z1 = np.zeros((m, 1), dtype=complex)
@@ -218,15 +204,3 @@ def even_order_Z(n: int) -> np.ndarray:
     second = block_diag(eye, kappa * cn, eye, kappa * cn)
     return first @ second
 
-
-def even_order_eigenbasis(n: int) -> np.ndarray:
-    """4n x 4n unitary whose column halves split ``i C_2n (+) -i C_2n`` eigenspaces.
-
-    Columns are the conjugated block rows of Z in the order (2, 3, 1, 4); the
-    two halves carry opposite eigenvalues of the Hermitian involution
-    ``i C_2n (+) -i C_2n`` (which sign goes first flips with the parity of n,
-    and is immaterial to the recovery algorithm built on this basis).
-    """
-    z = even_order_Z(n)
-    rows = [z[i * n : (i + 1) * n, :] for i in range(4)]
-    return np.hstack([rows[1].conj().T, rows[2].conj().T, rows[0].conj().T, rows[3].conj().T])

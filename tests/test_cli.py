@@ -156,6 +156,27 @@ class TestCanon:
             assert (out / f"{name}.json").exists()
 
 
+class TestClassifySvdCalls:
+    """classify reads every rank off W: one SVD for rank (A : B), two for the recovery, one corner block."""
+
+    @pytest.mark.parametrize("order", [20, 21])
+    def test_four_svds(self, tmp_path, monkeypatch, order):
+        _, code = run_command(["generate", "--order", str(order), "--seed", "5", "--out", str(tmp_path)])
+        assert code == 0
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        report, code = run_command(["classify", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
+        assert code == 0
+        assert len(calls) == 4, calls
+        assert report.metrics["rank_A"] == report.metrics["rank_B"] == order
+
+
 class TestSubprocessInterface:
     def test_pipeline_exit_codes(self, tmp_path):
         gen = run_cli("generate", "--order", "5", "--seed", "11", "--out", str(tmp_path))
@@ -239,9 +260,23 @@ class TestUsageErrors:
     def test_negative_seed(self, tmp_path):
         result = run_cli("generate", "--order", "5", "--seed", "-1", "--out", str(tmp_path / "pair"))
         assert result.returncode == 2
-        assert "verdict: error: --seed must be non-negative, got -1" in result.stdout
+        assert "verdict: error: seed must be non-negative, got -1" in result.stdout
         assert "Traceback" not in result.stderr
         assert not (tmp_path / "pair").exists()
+
+    def test_out_is_an_existing_file(self, fixtures_dir, tmp_path):
+        target = tmp_path / "taken"
+        target.write_bytes(b"keep me\n")
+        a, b = str(fixtures_dir / "w_identity_A.json"), str(fixtures_dir / "w_identity_B.json")
+        for argv in (
+            ["generate", "--order", "5", "--seed", "1", "--out", str(target)],
+            ["canon", a, b, "--out", str(target)],
+        ):
+            result = run_cli(*argv)
+            assert result.returncode == 2, argv
+            assert "verdict: error: " in result.stdout
+            assert "Traceback" not in result.stderr
+            assert target.read_bytes() == b"keep me\n"
 
 
 _SCIPY_PRELUDE = """

@@ -15,6 +15,7 @@ from bccanon import (
     generate_random_pair,
     haar_unitary,
     random_unitary,
+    recover_W,
 )
 
 
@@ -76,6 +77,19 @@ class TestEvenPipeline:
             w0 = random_unitary(2 * n, 800 + seed)
             form = even_canonical_decompose(construct_even_from_W(w0, spec))
             assert np.linalg.norm(form.W - w0) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_recover_W_under_row_operations(self, n):
+        spec = OrderSpec.from_order(2 * n)
+        rng = np.random.default_rng(40 + n)
+        for seed in range(10):
+            w0 = random_unitary(2 * n, 900 + seed)
+            pair = construct_even_from_W(w0, spec)
+            g = haar_unitary(2 * n, rng) @ np.diag(rng.uniform(0.2, 2.0, 2 * n)) @ haar_unitary(2 * n, rng)
+            moved = BoundaryPair(A=g @ pair.A, B=g @ pair.B, spec=spec)
+            w = recover_W(moved)
+            assert np.max(np.abs(w - w0)) < 1e-8
+            assert np.array_equal(w, even_canonical_decompose(moved).W)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_trichotomy(self, n):

@@ -96,10 +96,6 @@ class TestConstructFromW:
         with pytest.raises(NotUnitary):
             construct_from_W(np.ones((5, 5)), SPEC5)
 
-    def test_rejects_even_order_spec(self):
-        with pytest.raises(UnsupportedOrder):
-            construct_from_W(np.eye(4, dtype=complex), OrderSpec.from_order(4))
-
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_closure_property(self, seed, n):
@@ -327,3 +323,11 @@ class TestGenerateRandomPair:
 
         with pytest.raises(InvalidTarget):
             generate_random_pair(SPEC5, 1, target_unit_cosines=3)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    @pytest.mark.parametrize("target", [None, 1])
+    def test_rejects_negative_seed(self, m, target):
+        from bccanon import InvalidTarget
+
+        with pytest.raises(InvalidTarget, match="seed must be non-negative, got -1"):
+            generate_random_pair(OrderSpec.from_order(m), -1, target_unit_cosines=target)

@@ -5,10 +5,11 @@ and the other angles generic.  Odd order reads rank A three ways: the form
 (the rank A corner block of W), the SVD of A, and 2n+1 - (n - rank M) from
 the CS factors, with M M* = I - K K*.  Even order reads rank S two ways:
 the form (the lower-left block of W) and the sines of the CS factors, and
-checks n + rank S against the SVD of A.  The unit-scale ranks cut sines and
-singular values at 1e-10, the SVD of A at 1e-10 relative to its largest
-singular value, so the routes may differ only near that cutoff: sines in
-the band [1e-11, 1e-9] are not swept.
+checks n + rank S against the SVDs of A and B and both corner blocks of W.
+The unit-scale ranks cut sines and singular values at 1e-10, the SVDs of A
+and B at 1e-10 relative to their largest singular value, so the routes may
+differ only near that cutoff: sines in the band [1e-11, 1e-9] are not
+swept.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from bccanon import (
     canonical_decompose,
     construct_even_from_W,
     construct_from_W,
+    coupling_block_ranks,
     cs_core,
     even_canonical_decompose,
     haar_unitary,
@@ -68,6 +70,7 @@ def test_rank_routes_agree(m, e):
     else:
         pair = construct_even_from_W(w, spec)
         form = even_canonical_decompose(pair)
-        assert numerical_rank(pair.A) == n + form.rank_S
+        ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
+        assert coupling_block_ranks(form.W, spec) == ranks == (n + form.rank_S,) * 2
         assert form.rank_S == np.count_nonzero(form.cs.sin > DEFAULT_TOL.rank_rel)
         assert form.rank_S == n - lost

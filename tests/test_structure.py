@@ -10,7 +10,6 @@ from bccanon import (
     UnsupportedOrder,
     eigenbasis,
     even_order_Z,
-    even_order_eigenbasis,
     q4_matrix,
     symplectic_matrix,
     unitarity_residual,
@@ -116,7 +115,7 @@ class TestEigenbasis:
         expected[:2, :2] = s * np.eye(2)
         expected[2, 2] = 1.0
         expected[3:, :2] = s * c2
-        assert np.max(np.abs(basis.V11 - expected)) < 1e-15
+        assert np.max(np.abs(basis.V[:5, :5] - expected)) < 1e-15
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_blocks_satisfy_eigen_equations(self, n):
@@ -124,14 +123,10 @@ class TestEigenbasis:
         basis = eigenbasis(spec)
         m = spec.m
         h = block_diag(symplectic_matrix(m), -symplectic_matrix(m))
-        minus = np.vstack([basis.V11, basis.V21])
-        plus = np.vstack([basis.V12, basis.V22])
+        minus = basis.V[:, :m]
+        plus = basis.V[:, m:]
         assert np.max(np.abs(h @ minus + minus)) < 1e-14
         assert np.max(np.abs(h @ plus - plus)) < 1e-14
-
-    def test_even_order_unsupported(self):
-        with pytest.raises(UnsupportedOrder):
-            eigenbasis(OrderSpec.from_order(4))
 
 
 class TestQ4Matrix:
@@ -210,7 +205,7 @@ class TestEvenOrderZ:
 class TestEvenOrderEigenbasis:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_unitary_and_diagonalizing(self, n):
-        v = even_order_eigenbasis(n)
+        v = eigenbasis(OrderSpec.from_order(2 * n)).V
         assert unitarity_residual(v) < 1e-14
         m = 2 * n
         h = block_diag(1j * symplectic_matrix(m), -1j * symplectic_matrix(m))
