@@ -7,9 +7,11 @@ On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID`` plus the ``dirichlet`` and
 ``w_identity`` fixtures; later runs reuse whatever INPUT_DIR holds, so two
 commits digest the same inputs.  For each input the script runs ``check``,
-``classify`` and ``canon``, and for each grid point ``generate``, in
-``--format json`` and ``text``.  OUT.json maps each run to its exit code,
-the SHA-256 of its stdout and the SHA-256 of every file it wrote.
+``classify`` and ``canon``; it runs ``generate`` at each grid point and
+with each argument list of ``GENERATE_ERRORS``, which must fail with a usage
+error.  Every run is made in ``--format json`` and ``text``.  OUT.json maps
+each run to its exit code, the SHA-256 of its stdout and the SHA-256 of
+every file it wrote.
 
 The CLI runs as ``python -m bccanon.cli`` in a subprocess, so PYTHONPATH
 picks the commit under test; see the README for a two-commit comparison.
@@ -27,6 +29,12 @@ ORDERS = (5, 6, 19, 20, 21, 64, 65)
 GRID = tuple((m, k) for m in ORDERS for k in (None, 0, 2))
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures")
 FORMATS = ("json", "text")
+# generate runs that end in a usage error (exit 2), by name.
+GENERATE_ERRORS = {
+    "order-1": ["--order", "1", "--seed", "1"],
+    "target-out-of-range": ["--order", "5", "--seed", "1", "--unit-cosines", "9"],
+    "negative-seed": ["--order", "5", "--seed", "-1"],
+}
 
 
 def _generate_argv(m, k, out):
@@ -87,6 +95,12 @@ def digest(input_dir, grid=GRID):
                 # A relative --out keeps the paths the report prints the same on every machine.
                 result = _cli(_generate_argv(m, k, "out") + ["--format", fmt], work)
                 runs[f"generate {_name(m, k)} {fmt}"] = _record(result, os.path.join(work, "out"))
+        for name, argv in GENERATE_ERRORS.items():
+            for fmt in FORMATS:
+                work = os.path.join(scratch, f"generate-{name}-{fmt}")
+                os.makedirs(work)
+                result = _cli(["generate", *argv, "--out", "out", "--format", fmt], work)
+                runs[f"generate {name} {fmt}"] = _record(result, os.path.join(work, "out"))
         for name in sorted(os.listdir(input_dir)):
             pair = [os.path.join(name, "A.json"), os.path.join(name, "B.json")]
             for command in ("check", "classify", "canon"):

@@ -25,12 +25,10 @@ from . import __version__
 from .errors import (
     BccanonError,
     ConvergenceFailure,
-    InvalidTarget,
     NotSelfAdjoint,
     NotUnitary,
     ParseError,
     RankDeficient,
-    UnsupportedOrder,
 )
 from .forms import (
     BoundaryPair,
@@ -204,14 +202,8 @@ def _cmd_classify(args) -> tuple[Report, int]:
 
 def _cmd_generate(args) -> tuple[Report, int]:
     tol = _resolve_tolerances(args)
-    try:
-        spec = OrderSpec.from_order(args.order)
-    except UnsupportedOrder as exc:
-        raise ParseError(str(exc)) from exc
-    try:
-        pair = generate_random_pair(spec, args.seed, target_unit_cosines=args.unit_cosines, tol=tol)
-    except InvalidTarget as exc:
-        raise ParseError(str(exc)) from exc
+    spec = OrderSpec.from_order(args.order)
+    pair = generate_random_pair(spec, args.seed, target_unit_cosines=args.unit_cosines, tol=tol)
     os.makedirs(args.out, exist_ok=True)
     path_a = os.path.join(args.out, "A.json")
     path_b = os.path.join(args.out, "B.json")

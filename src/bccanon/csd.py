@@ -11,11 +11,17 @@ structural unit entry at position min(p, q) (0-based) belonging to the larger
 block: the last position of block 1 when p > q, the first of block 2 when
 q > p.
 
-The factorization itself is delegated to LAPACK's simultaneous-angle CSD
-(scipy.linalg.cossin), which keeps tiny sines exact instead of suffering
-the sqrt(1 - cos^2) cancellation near cos = 1.  The result is then brought
-to the convention above: cosines sorted non-increasing, signs and the
-structural-unit position fixed, and one phase per angle normalized.
+The factors come from two SVDs, W11 = U diag(c) Vh and W21 = X diag(s) Yh
+(Stewart 1982; Van Loan 1985).  By ascending sine, the first r angles take
+v1's row and -u2's column from W21's SVD, with cos = sqrt(1 - s^2) and u1's
+column W11 y / cos, which keeps tiny sines accurate; the others take v1's
+row and u1's column from W11's SVD, with sin = sqrt(1 - c^2) and u2's
+column -W21 y / sin.  r sits at the widest gap between consecutive sines
+inside [1/2, sqrt(3)/2] (at 1/sqrt(2) if none lies there), so one SVD
+reads a whole cluster of nearly equal angles.  W21's null vectors give
+the structural unit.  u1, u2 and v1 are replaced by their polar factors,
+and v2 is read off blockdiag(u1, u2)* W.  An exactly block-diagonal W
+keeps u1 = u2 = I.  Last, one phase per angle is normalized.
 """
 
 from __future__ import annotations
@@ -86,55 +92,75 @@ def cs_core(p: int, q: int, cos, sin) -> np.ndarray:
     return core
 
 
-def _angle_couplings(p: int, q: int):
-    """Column index of u1/u2 coupled to angle i, plus the structural index."""
-    k = min(p, q)
-    if p > q:
-        return list(range(k)), list(range(k)), ("u1", k)
-    if q > p:
-        return list(range(k)), list(range(1, k + 1)), ("u2", 0)
-    return list(range(k)), list(range(k)), None
+def _pivot_phases(u: np.ndarray) -> np.ndarray:
+    """Unit phase of the largest-modulus entry of each column; 1 for a zero column."""
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return np.exp(1j * np.angle(pivot))
 
 
-def _normalize_phases(u1, u2, v1, v2, p, q):
+def _normalize_phases(u1, u2, v1, v2, cols2):
     """Make one entry per angle real positive, compensating across factors.
 
-    For angle i the four factors couple u1 column c1[i], v1 row c1[i],
-    u2 column c2[i], v2 row c2[i]; a common phase on (u1, u2) columns with
-    its conjugate on (v1, v2) rows leaves the product invariant.  The phase
-    is chosen so the largest-modulus entry of the u1 column becomes real
-    positive (u2 column for the structural index when it lives in block 2).
+    Angle i couples u1 column i, v1 row i, u2 column cols2[i] and v2 row
+    cols2[i]; a common phase on its (u1, u2) columns with the conjugate on
+    its (v1, v2) rows leaves the product invariant.  The phase makes the
+    largest-modulus entry of the u1 column real positive.  The structural
+    unit gets the same treatment in its own block.
     """
-    cols1, cols2, structural = _angle_couplings(p, q)
-    for i, j in zip(cols1, cols2):
-        pivot = u1[np.argmax(np.abs(u1[:, i])), i]
-        if pivot == 0:
-            continue
-        phase = pivot / abs(pivot)
-        u1[:, i] *= np.conj(phase)
-        u2[:, j] *= np.conj(phase)
-        v1[i, :] *= phase
-        v2[j, :] *= phase
-    if structural is not None:
-        which, idx = structural
-        u, v = (u1, v1) if which == "u1" else (u2, v2)
-        pivot = u[np.argmax(np.abs(u[:, idx])), idx]
-        if pivot != 0:
-            phase = pivot / abs(pivot)
-            u[:, idx] *= np.conj(phase)
-            v[idx, :] *= phase
-    return u1, u2, v1, v2
+    phase1, phase2 = _pivot_phases(u1), _pivot_phases(u2)
+    phase2[cols2] = phase1[: len(cols2)]
+    return u1 * phase1.conj(), u2 * phase2.conj(), v1 * phase1[:, None], v2 * phase2[:, None]
+
+
+def _polar(a: np.ndarray) -> np.ndarray:
+    """Nearest unitary to ``a``: the unitary factor of its polar decomposition."""
+    u, _, vh = np.linalg.svd(a)
+    return u @ vh
+
+
+def _split(sin: np.ndarray) -> int:
+    """Number of ascending sines to read from the SVD of W21.
+
+    The split lies at the widest gap between consecutive sines, measured
+    inside [1/2, sqrt(3)/2]; with no sine there it falls at 1/sqrt(2).
+    """
+    edges = np.clip(np.concatenate(([0.0], sin, [1.0])), 0.5, np.sqrt(0.75))
+    return int(np.argmax(np.diff(edges)))
+
+
+def _two_svd_factors(w: np.ndarray, p: int, q: int):
+    """(u1, u2, v1, v2, cos, sin) from the SVDs of W11 and W21, angles by ascending sine."""
+    k = min(p, q)
+    w11, w21 = w[:p, :p], w[p:, :p]
+    uc, c, vch = np.linalg.svd(w11)
+    xs, s, ysh = np.linalg.svd(w21)
+    # When p > q the leading singular value of W11 is the structural 1.
+    c = np.clip(c[p - k :], 0.0, 1.0)
+    s = np.clip(s[::-1], 0.0, 1.0)
+    r = _split(s)
+    cos = np.concatenate((np.sqrt(1.0 - s[:r] ** 2), c[r:]))
+    sin = np.concatenate((s[:r], np.sqrt(1.0 - c[r:] ** 2)))
+    y_small, y_rest = ysh[k - r : k][::-1], vch[p - k + r :]
+    # Past index k, W21's singular vectors span its null spaces: the
+    # structural unit, last in block 1 when p > q and first in block 2 when q > p.
+    v1 = np.vstack((y_small, y_rest, ysh[k:]))
+    u1 = np.hstack((w11 @ y_small.conj().T / cos[:r], uc[:, p - k + r :], w11 @ ysh[k:].conj().T))
+    u2 = np.hstack((xs[:, k:], -xs[:, k - r : k][:, ::-1], -(w21 @ y_rest.conj().T) / sin[r:]))
+    (u1, v1), u2 = _polar(np.stack((u1, v1))), _polar(u2)
+    left_w2 = np.vstack((u1.conj().T @ w[:p, p:], u2.conj().T @ w[p:, p:]))
+    v2 = _polar(cs_core(p, q, cos, sin)[:, p:].conj().T @ left_w2)
+    return u1, u2, v1, v2, cos, sin
 
 
 def cs_decompose(w, p: int, q: int, tol: Tolerances = DEFAULT_TOL) -> CsFactors:
     """Decompose a unitary W over the symmetric block partition (p, q).
 
     Raises PartitionMismatch when p + q does not match W or |p - q| > 1,
-    and NotUnitary when W fails the unitarity residual check.
+    NotUnitary when W fails the unitarity residual check and
+    ConvergenceFailure when an SVD does not converge.
     """
     w = as_complex_matrix(w)
-    m = w.shape[0]
-    if w.shape[0] != w.shape[1] or p + q != m or p < 1 or q < 1:
+    if w.shape[0] != w.shape[1] or p + q != w.shape[0] or p < 1 or q < 1:
         raise PartitionMismatch(f"partition ({p}, {q}) does not fit a {w.shape} matrix")
     if abs(p - q) > 1:
         raise PartitionMismatch(f"|p - q| must be at most 1, got ({p}, {q})")
@@ -142,44 +168,25 @@ def cs_decompose(w, p: int, q: int, tol: Tolerances = DEFAULT_TOL) -> CsFactors:
     if residual > tol.unitary_abs:
         raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
 
-    import scipy.linalg  # here only: the rest of bccanon runs on numpy alone
-
-    try:
-        # scipy's (p, q) arguments are the row/column counts of the W11
-        # block; our partition is symmetric, hence q=p here.
-        (u1, u2), theta, (v1h, v2h) = scipy.linalg.cossin(w, p=p, q=p, separate=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-
-    cos = np.clip(np.cos(theta), 0.0, 1.0)
-    sin = np.clip(np.sin(theta), 0.0, 1.0)
     k = min(p, q)
+    if not (w[:p, p:].any() or w[p:, :p].any()):
+        # Exactly block-diagonal: u1 = u2 = I, free of the SVDs' roundoff in I - K K*.
+        u1, u2 = np.eye(p, dtype=complex), np.eye(q, dtype=complex)
+        v1, v2 = w[:p, :p].copy(), w[p:, p:].copy()
+        cos, sin = np.ones(k), np.zeros(k)
+    else:
+        try:
+            u1, u2, v1, v2, cos, sin = _two_svd_factors(w, p, q)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(str(exc)) from exc
 
-    u1 = np.array(u1, dtype=complex)
-    u2 = np.array(u2, dtype=complex)
-    v1 = np.array(v1h, dtype=complex)
-    v2 = np.array(v2h, dtype=complex)
-
-    if p > q:
-        # LAPACK puts the structural unit first in block 1; move it last.
-        perm = list(range(1, p)) + [0]
-        u1 = u1[:, perm]
-        v1 = v1[perm, :]
-    # Flip LAPACK's sign convention (-S upper right) to +S upper right.
-    u2 = -u2
-    v2 = -v2
-
-    # LAPACK returns ascending theta (non-increasing cos); enforce anyway.
+    # Cosines come out non-increasing up to roundoff at the split; enforce it.
     order = np.argsort(-cos, kind="stable")
-    if not np.array_equal(order, np.arange(k)):
-        cos, sin = cos[order], sin[order]
-        cols1, cols2, _ = _angle_couplings(p, q)
-        c1 = np.asarray(cols1)[order]
-        c2 = np.asarray(cols2)[order]
-        u1[:, cols1], v1[cols1, :] = u1[:, c1], v1[c1, :]
-        u2[:, cols2], v2[cols2, :] = u2[:, c2], v2[c2, :]
-
-    u1, u2, v1, v2 = _normalize_phases(u1, u2, v1, v2, p, q)
+    cols2 = np.arange(k) + int(q > p)  # block 2 puts its structural unit first
+    cos, sin = cos[order], sin[order]
+    u1[:, :k], v1[:k] = u1[:, order], v1[order]
+    u2[:, cols2], v2[cols2] = u2[:, cols2[order]], v2[cols2[order]]
+    u1, u2, v1, v2 = _normalize_phases(u1, u2, v1, v2, cols2)
     return CsFactors(p=p, q=q, u1=u1, u2=u2, v1=v1, v2=v2, cos=cos, sin=sin)
 
 

@@ -67,12 +67,33 @@ def _render_matrix(pairs: np.ndarray) -> str:
 
 
 class _RenderedPayload(dict):
-    """A matrix payload dict that carries its JSON text in ``text``."""
+    """A matrix payload dict that carries its JSON text in ``text``.
+
+    The writer and the reports read only ``text``, so the nested ``data``
+    lists are built on the first read of the dict's contents.
+    """
 
     def __init__(self, pairs: np.ndarray):
         rows, cols, _ = pairs.shape
-        super().__init__(rows=rows, cols=cols, data=pairs.tolist())
+        super().__init__(rows=rows, cols=cols)
+        self._pairs = pairs
         self.text = _render_matrix(pairs)
+
+    def __missing__(self, key):
+        if key != "data":
+            raise KeyError(key)
+        dict.__setitem__(self, "data", self._pairs.tolist())
+        return dict.__getitem__(self, "data")
+
+    def _full(self) -> dict:
+        self["data"]  # built by __missing__ on the first read
+        return self
+
+
+# Every other read of the dict's contents builds ``data`` first.
+for _name in ("__contains__", "__eq__", "__ne__", "__iter__", "__len__", "__repr__", "copy", "get", "items", "keys", "values"):
+    setattr(_RenderedPayload, _name, lambda self, *args, _read=getattr(dict, _name): _read(self._full(), *args))
+del _name
 
 
 def _emit(obj) -> str:

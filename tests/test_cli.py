@@ -307,8 +307,9 @@ except SystemExit:
 assert_no_scipy("--version")
 assert bccanon.cli.main(["check", *dirichlet]) == 0
 assert_no_scipy("check")
-assert bccanon.cli.main(["canon", *dirichlet, "--out", os.path.join(out, "factors")]) == 0
-assert "scipy.linalg" in sys.modules, "canon runs the CS decomposition on scipy"
+for stem, pair in (("dirichlet", dirichlet), ("w_identity", w_identity)):
+    assert bccanon.cli.main(["canon", *pair, "--out", os.path.join(out, stem)]) == 0
+    assert_no_scipy(["canon", stem])
 """
 
 _SCIPY_DECISIONS = """
@@ -334,10 +335,13 @@ def _run_scipy_guard(body, fixtures_dir, tmp_path):
 
 
 class TestLazyScipy:
+    """No command loads scipy: bccanon runs on numpy alone."""
+
     def test_check_runs_without_scipy(self, fixtures_dir, tmp_path):
         stdout = _run_scipy_guard(_SCIPY_CHECK, fixtures_dir, tmp_path)
         assert "verdict: self-adjoint" in stdout
         assert "verdict: separated" in stdout
+        assert "verdict: mixed" in stdout
 
     def test_classify_and_generate_run_without_scipy(self, fixtures_dir, tmp_path):
         stdout = _run_scipy_guard(_SCIPY_DECISIONS, fixtures_dir, tmp_path)

@@ -1,10 +1,10 @@
-"""Tests for the CS decomposition wrapper."""
+"""Tests for the CS decomposition, with scipy's cossin as a test-only oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cossin
 
 from bccanon import (
     NotUnitary,
@@ -16,6 +16,7 @@ from bccanon import (
     random_unitary,
     unitarity_residual,
 )
+from bccanon.forms import _k_matrix
 
 
 def _block_svd_cosines(w, p, q):
@@ -119,6 +120,82 @@ class TestCsDecompose:
         f = cs_decompose(w, p, q)
         assert np.linalg.norm(cs_reconstruct(f) - w) < 1e-9
         assert np.allclose(f.cos, _block_svd_cosines(w, p, q), atol=1e-10)
+
+
+def _partitions(m):
+    """Every (p, q) partition of order m: (n+1, n) and (n, n+1) when m is odd."""
+    n = m // 2
+    return [(n + 1, n), (n, n + 1)] if m % 2 else [(n, n)]
+
+
+def _with_sines(p, q, sin, rng):
+    """A unitary W whose CS angles have the given sines, with Haar corners."""
+    sin = np.sort(sin)
+    core = cs_core(p, q, np.sqrt(1.0 - sin**2), sin)
+    return block_diag(haar_unitary(p, rng), haar_unitary(q, rng)) @ core @ block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
+
+
+def _oracle_sines(w, p):
+    """Ascending sines from LAPACK's simultaneous-angle CSD."""
+    _, theta, _ = cossin(w, p=p, q=p, separate=True)
+    return np.sort(np.sin(theta))
+
+
+def _sweep_cases(m, rng):
+    """(label, p, q, W): Haar W, unit cosines, repeated cosines and a cluster straddling 1/sqrt(2)."""
+    for p, q in _partitions(m):
+        k = min(p, q)
+        yield "haar", p, q, haar_unitary(m, rng)
+        for units in sorted({1, k // 2, k}):
+            sin = np.concatenate((np.zeros(units), rng.uniform(0.0, 1.0, k - units)))
+            yield f"{units} unit cosines", p, q, _with_sines(p, q, sin, rng)
+        yield "repeated cosines", p, q, _with_sines(p, q, np.repeat(rng.uniform(0.0, 1.0, 2), [k // 2, k - k // 2]), rng)
+        for width in (1e-3, 0.0):  # 0.0: one cosine, repeated, that roundoff splits at 1/sqrt(2)
+            yield f"cluster at 1/sqrt(2), width {width}", p, q, _with_sines(p, q, np.sqrt(0.5) + width * np.linspace(-1.0, 1.0, k), rng)
+
+
+class TestAgainstCossin:
+    """The two-SVD decomposition against scipy.linalg.cossin over m = 3..65 and every partition."""
+
+    @pytest.mark.parametrize("m", range(3, 66))
+    def test_sweep(self, m):
+        rng = np.random.default_rng(m)
+        for label, p, q, w in _sweep_cases(m, rng):
+            f = cs_decompose(w, p, q)
+            assert np.linalg.norm(cs_reconstruct(f) - w) <= 1e-13 * m, (label, p, q)
+            assert np.max(np.abs(f.sin - _oracle_sines(w, p))) <= 2e-14, (label, p, q)
+            assert max(unitarity_residual(x) for x in (f.u1, f.u2, f.v1, f.v2)) <= 1e-14, (label, p, q)
+            assert np.all(np.diff(f.cos) <= 0.0), (label, p, q)
+
+    def test_tiny_sine_no_less_accurate(self):
+        # One sine 10^-e among sines in (0.01, 1): the worst relative error
+        # at each e, over every order and partition, against cossin's.
+        rng = np.random.default_rng(2024)
+        ours = {e: 0.0 for e in range(3, 16)}
+        oracle = dict(ours)
+        for m in range(3, 66):
+            for p, q in _partitions(m):
+                for e in ours:
+                    tiny = 10.0**-e
+                    w = _with_sines(p, q, np.append(rng.uniform(0.01, 1.0, min(p, q) - 1), tiny), rng)
+                    f = cs_decompose(w, p, q)
+                    assert np.linalg.norm(cs_reconstruct(f) - w) <= 1e-13 * m
+                    ours[e] = max(ours[e], abs(f.sin[0] / tiny - 1.0))
+                    oracle[e] = max(oracle[e], abs(_oracle_sines(w, p)[0] / tiny - 1.0))
+        assert all(ours[e] <= oracle[e] for e in ours), (ours, oracle)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 9, 20, 21])
+    def test_block_diagonal_w_keeps_identity_corners(self, m):
+        rng = np.random.default_rng(m)
+        for p, q in _partitions(m):
+            w11, w22 = haar_unitary(p, rng), haar_unitary(q, rng)
+            f = cs_decompose(block_diag(w11, w22), p, q)
+            assert np.array_equal(f.u1, np.eye(p)) and np.array_equal(f.u2, np.eye(q))
+            assert np.array_equal(f.cos, np.ones(min(p, q))) and np.array_equal(f.sin, np.zeros(min(p, q)))
+            assert np.array_equal(cs_reconstruct(f), block_diag(w11, w22))
+            if m % 2:
+                k = _k_matrix(f)
+                assert not np.any(np.eye(min(p, q)) - k @ k.conj().T)
 
 
 class TestCsReconstruct:

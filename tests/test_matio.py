@@ -131,6 +131,27 @@ class TestOneWriter:
         payload = write_matrix_file(path, random_unitary(3, 4))
         assert path.read_text(encoding="utf-8") == dumps_deterministic(payload)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda p: p["data"],
+            lambda p: p.get("data"),
+            lambda p: dict(p)["data"],
+            lambda p: dict(p.items())["data"],
+            lambda p: json.loads(json.dumps(p))["data"],
+            lambda p: p.copy()["data"],
+            lambda p: {**p}["data"],
+        ],
+    )
+    def test_data_built_on_first_read(self, tmp_path, read):
+        m = np.array([[1.0 - 0.0j, -0.0 + 2.5j], [1e17, -3.0]])
+        payload = write_matrix_file(tmp_path / "m.json", m)
+        assert not dict.__contains__(payload, "data")  # the writer never built it
+        plain = _plain_payload(m)
+        assert np.array(read(payload)).tobytes() == np.array(plain["data"]).tobytes()
+        assert payload == plain and sorted(payload) == ["cols", "data", "rows"] and len(payload) == 3
+        assert dumps_deterministic(payload) == dumps_deterministic(plain)
+
     def test_one_render_per_payload(self, monkeypatch):
         calls = []
         render = matio._render_matrix

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/, which import the public API."""
 
 import importlib.util
+import json
 import pathlib
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
@@ -25,11 +26,13 @@ def test_output_digest_smoke(tmp_path):
     inputs = tmp_path / "inputs"
     runs = script.digest(str(inputs), grid=((5, None),))
     assert sorted(p.name for p in inputs.iterdir()) == ["dirichlet", "m5-knone", "w_identity"]
-    expected = {f"generate m5-knone {fmt}" for fmt in ("json", "text")}
+    expected = {f"generate {g} {fmt}" for g in ("m5-knone", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
                  for i in ("dirichlet", "m5-knone", "w_identity") for fmt in ("json", "text")}
     assert set(runs) == expected
-    assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for run in runs.values())
+    errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
+    assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in errors)
+    assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for name, run in runs.items() if name not in errors)
     assert set(runs["generate m5-knone json"]["files"]) == {"A.json", "B.json"}
     assert {"Q1.json", "manifest.json"} <= set(runs["canon m5-knone text"]["files"])
     assert {"U.json", "manifest.json"} <= set(runs["canon dirichlet json"]["files"])
@@ -41,3 +44,39 @@ def test_output_digest_smoke(tmp_path):
     (inputs / "m5-knone" / "B.json").write_bytes((inputs / "dirichlet" / "B.json").read_bytes())
     script.make_inputs(str(inputs), grid=((5, None),))
     assert (inputs / "m5-knone" / "B.json").read_bytes() == (inputs / "dirichlet" / "B.json").read_bytes()
+
+
+def _write_results(directory, pair_ms, failed, trace=0):
+    """Synthetic cli-mix result files, one per seed, as perfbench/run.py writes them."""
+    directory.mkdir(exist_ok=True)
+    env = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2, "workload": "cli-mix", "seed": 0, "samples": {}}
+    for seed, value in enumerate(pair_ms, start=1):
+        figures = {
+            "pair_p50_ms": {"value": value, "unit": "ms", "better": "lower"},
+            "setup_s": {"value": 0.1, "unit": "s", "better": "lower"},
+        }
+        result = {"workload": "cli-mix", "seed": seed, "trace": trace, "env": dict(env, seed=seed),
+                  "figures": figures, "result": {"failed": failed}}
+        (directory / f"cli-mix-seed{seed}-trace{trace}.json").write_text(json.dumps(result))
+
+
+def test_bench_file_smoke(tmp_path):
+    script = load_script("bench_file")
+    _write_results(tmp_path / "base", [1000.0 + i for i in range(10)], failed=0)
+    _write_results(tmp_path / "head", [800.0 + i for i in range(10)], failed=1)
+    _write_results(tmp_path / "head", [1.0] * 10, failed=0, trace=1)  # traced runs are ignored
+    out = tmp_path / "BENCH.json"
+    assert script.main([str(tmp_path / "base"), str(tmp_path / "head"), str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["environment"]["base"] == [{"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}]
+    cli = record["workloads"]["cli-mix"]
+    assert cli["seeds"] == list(range(1, 11)) and cli["failed"] == {"base": 0, "head": 10}
+    pair = cli["metrics"]["pair_p50_ms"]
+    assert (pair["unit"], pair["bound"], pair["wins"]) == ("ms", 0.25, 10)
+    assert pair["verdict"] == "no gain: more failed"  # a gain, but the change failed more operations
+    assert pair["base"]["median"] == 1004.5 and pair["head"]["runs"]["3"] == 802.0
+    assert pair["base"]["q1"] < pair["base"]["median"] < pair["base"]["q3"]
+    assert cli["metrics"]["setup_s"]["verdict"] == "within bound"
+    (tmp_path / "empty").mkdir()
+    assert script.main([str(tmp_path / "base"), str(tmp_path / "empty"), str(tmp_path / "none.json")]) == 1
+    assert not (tmp_path / "none.json").exists()
