@@ -87,6 +87,8 @@ def _cmd_check(args) -> tuple[Report, int]:
     tol = _resolve_tolerances(args)
     pair = _load_pair(args.A, args.B)
     report = check_self_adjoint(pair, tol)
+    if not np.isfinite(report.gram_residual):  # overflow: no verdict, as in classify and canon
+        raise NotSelfAdjoint(f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), gram residual {report.gram_residual}")
     out = Report(
         command="check",
         inputs=[args.A, args.B],

@@ -44,6 +44,7 @@ from .linalg import (
     block_diag,
     haar_unitary,
     numerical_rank,
+    relative_rank,
     unitarity_residual,
 )
 from .structure import (
@@ -83,30 +84,43 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPair:
-    """Pair (A, B) of m x m complex matrices with its order bookkeeping."""
+    """Pair (A, B) of m x m complex matrices with its order bookkeeping.
+
+    Immutable: A and B are private read-only copies, and the Gram residual
+    and singular values of (A : B) are measured once, on first use, for
+    every check and decomposition of the pair.  ``spec`` defaults to A's size.
+    """
 
     A: np.ndarray
     B: np.ndarray
-    spec: OrderSpec
+    spec: OrderSpec | None = None
 
     def __post_init__(self):
-        a = as_complex_matrix(self.A)
-        b = as_complex_matrix(self.B)
-        m = self.spec.m
+        a, b = (as_complex_matrix(np.array(x, dtype=complex)) for x in (self.A, self.B))
+        spec = OrderSpec.from_order(a.shape[0]) if self.spec is None else self.spec
+        m = spec.m
         if a.shape != (m, m) or b.shape != (m, m):
             raise ValueError(f"expected two {m} x {m} matrices, got {a.shape} and {b.shape}")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
+        a.flags.writeable = b.flags.writeable = False
+        for name, value in (("A", a), ("B", b), ("spec", spec)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_matrices(cls, a, b) -> "BoundaryPair":
         """Build a pair, inferring the order spec from the matrix size."""
-        a = as_complex_matrix(a)
-        return cls(A=a, B=b, spec=OrderSpec.from_order(a.shape[0]))
+        return cls(A=a, B=b)
 
     def stacked(self) -> np.ndarray:
         """The m x 2m concatenation (A : B)."""
         return np.hstack([self.A, self.B])
+
+    @cached_property
+    def _criterion_numbers(self) -> tuple[float, np.ndarray]:
+        """(||A C_m A* - B C_m B*||_F, inf or nan on overflow; singular values of (A : B))."""
+        c = symplectic_matrix(self.spec.m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(np.linalg.norm(self.A @ c @ self.A.conj().T - self.B @ c @ self.B.conj().T))
+        return residual, np.linalg.svd(self.stacked(), compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -126,17 +140,16 @@ class SelfAdjointReport:
 
 
 def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
-    """(rank (A : B), rank ok, Gram residual, Gram ok) of the self-adjointness verdict."""
-    c = symplectic_matrix(pair.spec.m)
-    gram = pair.A @ c @ pair.A.conj().T - pair.B @ c @ pair.B.conj().T
-    gram_residual = float(np.linalg.norm(gram))
-    rank_ab = numerical_rank(pair.stacked(), tol)
+    """(rank (A : B), rank ok, Gram residual, Gram ok): ``tol`` applied to the pair's cached numbers."""
+    gram_residual, sigma_ab = pair._criterion_numbers
+    rank_ab = relative_rank(sigma_ab, tol)
     return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
 
 
 def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
     """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises.
 
+    Each call applies its own ``tol`` to the pair's cached measurement.
     rank A and rank B are reported as diagnostics; the verdict does not use them.
     """
     return SelfAdjointReport(

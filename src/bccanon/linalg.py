@@ -19,6 +19,7 @@ __all__ = [
     "block_diag",
     "unitarity_residual",
     "numerical_rank",
+    "relative_rank",
     "random_unitary",
     "haar_unitary",
     "row_space_angles",
@@ -83,15 +84,19 @@ def unitarity_residual(u) -> float:
     return float(np.max(np.abs(gram - np.eye(u.shape[0]))))
 
 
+def relative_rank(sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of descending singular values above ``rank_rel * sigma_max``; 0 when all vanish."""
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
+
+
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of singular values above ``rank_rel * sigma_max``; 0 for the zero matrix."""
     m = as_complex_matrix(m)
     if m.size == 0:
         return 0
-    sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
+    return relative_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

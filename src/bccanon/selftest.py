@@ -152,15 +152,10 @@ def _check_canonical_reconstruction(orders, trials, tol):
             g = _random_conditioned(spec.m, rng)
             moved = BoundaryPair(A=g @ pair.A, B=g @ pair.B, spec=spec)
             form = canonical_decompose(moved, tol)
+            product = form.reconstruct()
             normalized = construct_from_W(form.W, spec, tol)
-            worst_eq = max(
-                worst_eq,
-                float(np.linalg.norm(form.reconstruct() - normalized.stacked())),
-            )
-            worst_angle = max(
-                worst_angle,
-                float(np.max(row_space_angles(form.reconstruct(), moved.stacked()))),
-            )
+            worst_eq = max(worst_eq, float(np.linalg.norm(product - normalized.stacked())))
+            worst_angle = max(worst_angle, float(np.max(row_space_angles(product, moved.stacked()))))
     return [
         CheckResult("canonical_reconstruction", worst_eq < 1e-9, worst_eq, "Q1 core Q2 vs normalized pair"),
         CheckResult("canonical_row_space", worst_angle < 1e-8, worst_angle, "max principal angle to input"),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,17 +97,19 @@ class OrderSpec:
         return self.n, self.n
 
 
+@lru_cache(maxsize=16)
 def symplectic_matrix(m: int) -> np.ndarray:
     """Signed antidiagonal matrix with entry (-1)^r at (r, m+1-r), 1-based.
 
     An involution (C^2 = I) for odd m and a skew involution (C^2 = -I)
-    for even m.
+    for even m.  Cached per size and read-only.
     """
     if m < 1:
         raise ValueError(f"size must be positive, got {m}")
     c = np.zeros((m, m), dtype=complex)
     for i in range(m):
         c[i, m - 1 - i] = (-1.0) ** (i + 1)
+    c.flags.writeable = False
     return c
 
 
@@ -118,11 +121,14 @@ class EigenBasis:
     for eigenvalue -1, the last m for +1, entries 0, +-1/sqrt(2) or 1.
     Even order: the halves are the two eigenspaces of the Hermitian
     involution ``i C_m (+) -i C_m``.  Every self-adjoint pair is row
-    equivalent to ``(I : W) V*`` for exactly one unitary W.
+    equivalent to ``(I : W) V*`` for exactly one unitary W.  V is read-only.
     """
 
     spec: OrderSpec
     V: np.ndarray
+
+    def __post_init__(self):
+        self.V.flags.writeable = False
 
 
 def _column_blocks(n: int):
@@ -142,6 +148,7 @@ def _column_blocks(n: int):
     return plus, minus, unit
 
 
+@lru_cache(maxsize=8)
 def eigenbasis(spec: OrderSpec) -> EigenBasis:
     """Explicit diagonalizing eigenbasis of either parity.
 
@@ -150,6 +157,7 @@ def eigenbasis(spec: OrderSpec) -> EigenBasis:
     columns are the conjugated block rows of Z in the order (2, 3, 1, 4);
     which sign of ``i C_2n (+) -i C_2n`` the first half carries flips with
     the parity of n, and is immaterial to the recovery built on the basis.
+    Cached per order; ``V`` is read-only.
     """
     n, m = spec.n, spec.m
     if spec.parity is Parity.EVEN_ORDER:

@@ -108,6 +108,26 @@ class TestClassify:
         assert code == 3
 
 
+class TestOverflowingGram:
+    """A = B = 1e200 I: A C A* overflows and the Gram residual reads nan."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("command", ["check", "classify", "canon"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exit_three_without_traceback(self, tmp_path, m, command, fmt):
+        huge = 1e200 * np.eye(m)
+        write_matrix_file(tmp_path / "A.json", huge)
+        write_matrix_file(tmp_path / "B.json", huge)
+        extra = ["--out", str(tmp_path / "out")] if command == "canon" else []
+        result = run_cli(command, str(tmp_path / "A.json"), str(tmp_path / "B.json"), "--format", fmt, *extra)
+        assert result.returncode == 3, result.stdout + result.stderr
+        assert result.stderr == ""
+        if fmt == "json":
+            assert json.loads(result.stdout)["verdict"].startswith("error: ")
+        else:
+            assert "error: " in result.stdout
+
+
 class TestCanon:
     def test_factor_files_written(self, generated_pair, tmp_path):
         path_a, path_b = generated_pair

@@ -1,5 +1,7 @@
 """Tests for boundary-pair verification, synthesis and canonical forms (odd order)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from bccanon import (
     NotSelfAdjoint,
     NotUnitary,
     OrderSpec,
+    Tolerances,
     UnsupportedOrder,
     canonical_decompose,
     check_self_adjoint,
@@ -331,3 +334,113 @@ class TestGenerateRandomPair:
 
         with pytest.raises(InvalidTarget, match="seed must be non-negative, got -1"):
             generate_random_pair(OrderSpec.from_order(m), -1, target_unit_cosines=target)
+
+
+def _with_entry(value, at):
+    a = np.eye(3, dtype=complex)
+    a[at] = value
+    return a
+
+
+class TestFromMatricesErrors:
+    """The error each malformed input to ``BoundaryPair.from_matrices`` raises."""
+
+    @pytest.mark.parametrize(
+        ("a", "b", "error", "message"),
+        [
+            (2.0, np.eye(3), ValueError, "expected a 2-d matrix, got ndim=0"),
+            (np.ones(3), np.eye(3), ValueError, "expected a 2-d matrix, got ndim=1"),
+            (np.ones((3, 3, 3)), np.eye(3), ValueError, "expected a 2-d matrix, got ndim=3"),
+            (_with_entry(np.nan, (0, 1)), np.eye(3), ValueError, "matrix contains NaN or infinite entries"),
+            (np.eye(3), _with_entry(np.inf, (2, 2)), ValueError, "matrix contains NaN or infinite entries"),
+            (np.ones((3, 4)), np.ones((3, 4)), ValueError, "expected two 3 x 3 matrices, got (3, 4) and (3, 4)"),
+            (np.eye(3), np.eye(4), ValueError, "expected two 3 x 3 matrices, got (3, 3) and (4, 4)"),
+            (np.eye(1), np.eye(1), UnsupportedOrder, "odd order must be at least 3, got 1"),
+        ],
+        ids=["scalar", "1-d", "3-d", "nan-in-A", "inf-in-B", "non-square", "B-wrong-size", "order-1"],
+    )
+    def test_message(self, a, b, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            BoundaryPair.from_matrices(a, b)
+
+    def test_nested_lists_accepted(self):
+        rows = np.eye(3).tolist()
+        pair = BoundaryPair.from_matrices(rows, rows)
+        assert pair.spec == SPEC3
+        assert pair.A.dtype == pair.B.dtype == np.complex128
+        assert np.array_equal(pair.A, np.eye(3))
+
+
+def _decompose(pair):
+    return (canonical_decompose if pair.spec.is_odd_order else even_canonical_decompose)(pair)
+
+
+class TestMeasuredOnce:
+    """A pair measures the criterion's numbers once; every verdict applies its own tolerance."""
+
+    def test_loose_check_does_not_pass_a_later_decomposition(self):
+        pair = generate_random_pair(SPEC5, 4)
+        a = np.array(pair.A)
+        a[1, 2] += 1e-5
+        perturbed = BoundaryPair(A=a, B=pair.B, spec=SPEC5)
+        loose = check_self_adjoint(perturbed, Tolerances(residual_abs=1e-3))
+        assert loose.ok and 1e-8 < loose.gram_residual < 1e-3
+        with pytest.raises(NotSelfAdjoint):
+            canonical_decompose(perturbed)
+        assert not check_self_adjoint(perturbed).ok
+
+    def test_caller_writes_do_not_reach_the_pair(self):
+        source = generate_random_pair(SPEC5, 2)
+        a, b = np.array(source.A), np.array(source.B)
+        pair = BoundaryPair(A=a, B=b, spec=SPEC5)
+        before = check_self_adjoint(pair)
+        kept = pair.A.copy()
+        a[0, 0] += 1.0
+        b[:] = 0.0
+        assert np.array_equal(pair.A, kept) and np.array_equal(pair.B, source.B)
+        assert check_self_adjoint(pair) == before and before.ok
+        assert check_self_adjoint(BoundaryPair(A=a, B=b, spec=SPEC5)) != before
+
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_pair_matrices_are_read_only(self, name):
+        pair = generate_random_pair(SPEC5, 2)
+        with pytest.raises(ValueError):
+            getattr(pair, name)[0, 0] = 0.0
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_check_then_decompose_matches_a_fresh_decomposition(self, m):
+        spec = OrderSpec.from_order(m)
+        rng = np.random.default_rng(m)
+        normalized = generate_random_pair(spec, m, target_unit_cosines=spec.n // 2)
+        g = conditioned_invertible(m, rng)
+        a, b = g @ normalized.A, g @ normalized.B
+        checked = BoundaryPair(A=a, B=b, spec=spec)
+        report = check_self_adjoint(checked)
+        form = _decompose(checked)
+        fresh = _decompose(BoundaryPair(A=a, B=b, spec=spec))
+        assert report == check_self_adjoint(BoundaryPair(A=a, B=b, spec=spec))
+        assert form.W.tobytes() == fresh.W.tobytes()
+        assert form.classification is fresh.classification
+        if spec.is_odd_order:
+            assert (form.predicted_rank_A, form.predicted_rank_B, form.r, form.null_count) == (
+                fresh.predicted_rank_A, fresh.predicted_rank_B, fresh.r, fresh.null_count
+            )
+        else:
+            assert form.rank_S == fresh.rank_S
+            assert form.P.tobytes() == fresh.P.tobytes()
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_check_then_decompose_runs_six_svds(self, monkeypatch, m):
+        pair = generate_random_pair(OrderSpec.from_order(m), 3)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        check_self_adjoint(pair)
+        _decompose(pair)
+        # (A : B), A and B for the check; the two coefficient matrices and one corner block for W.
+        assert len(calls) == 6, calls

@@ -5,11 +5,16 @@ import pytest
 from scipy.linalg import block_diag
 
 from bccanon import (
+    BoundaryPair,
     OrderSpec,
     Parity,
     UnsupportedOrder,
+    canonical_decompose,
+    check_self_adjoint,
     eigenbasis,
+    even_canonical_decompose,
     even_order_Z,
+    generate_random_pair,
     q4_matrix,
     symplectic_matrix,
     unitarity_residual,
@@ -217,3 +222,35 @@ class TestEvenOrderEigenbasis:
         # each half is a single eigenspace
         assert len(set(np.sign(diag[: 2 * n]))) == 1
         assert len(set(np.sign(diag[2 * n :]))) == 1
+
+
+class TestCachedPerOrder:
+    """C_m and V are built once per order and shared read-only."""
+
+    def test_symplectic_matrix_is_read_only_and_shared(self):
+        c = symplectic_matrix(5)
+        assert symplectic_matrix(5) is c
+        with pytest.raises(ValueError):
+            c[0, 4] = 1.0
+        assert np.array_equal(symplectic_matrix(5), C5_EXPECTED)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_eigenbasis_is_read_only_and_shared(self, m):
+        spec = OrderSpec.from_order(m)
+        basis = eigenbasis(spec)
+        assert eigenbasis(OrderSpec.from_order(m)) is basis
+        with pytest.raises(ValueError):
+            basis.V[0, 0] = 0.0
+
+    def test_one_build_per_distinct_order(self):
+        orders = range(3, 10)
+        pairs = [generate_random_pair(OrderSpec.from_order(m), m) for m in orders]
+        eigenbasis.cache_clear()
+        for _ in range(4):
+            for source in pairs:
+                pair = BoundaryPair.from_matrices(source.A, source.B)
+                check_self_adjoint(pair)
+                (canonical_decompose if pair.spec.is_odd_order else even_canonical_decompose)(pair)
+        info = eigenbasis.cache_info()
+        assert info.misses == len(orders)
+        assert info.hits == 4 * len(orders) - len(orders)
