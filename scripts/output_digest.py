@@ -9,9 +9,10 @@ every (order, unit-cosine count) of ``GRID`` plus the ``dirichlet`` and
 commits digest the same inputs.  For each input the script runs ``check``,
 ``classify`` and ``canon``; it runs ``generate`` at each grid point and
 with each argument list of ``GENERATE_ERRORS``, which must fail with a usage
-error.  Every run is made in ``--format json`` and ``text``.  OUT.json maps
-each run to its exit code, the SHA-256 of its stdout and the SHA-256 of
-every file it wrote.
+error, and ``check`` on each malformed file of ``PARSE_ERRORS``, which must
+fail with an input error.  Every run is made in ``--format json`` and
+``text``.  OUT.json maps each run to its exit code, the SHA-256 of its
+stdout and the SHA-256 of every file it wrote.
 
 The CLI runs as ``python -m bccanon.cli`` in a subprocess, so PYTHONPATH
 picks the commit under test; see the README for a two-commit comparison.
@@ -34,6 +35,13 @@ GENERATE_ERRORS = {
     "order-1": ["--order", "1", "--seed", "1"],
     "target-out-of-range": ["--order", "5", "--seed", "1", "--unit-cosines", "9"],
     "negative-seed": ["--order", "5", "--seed", "-1"],
+}
+# Malformed matrix files that check must reject with an input error (exit 2), by name.
+PARSE_ERRORS = {
+    "huge-rows": '{"rows": 1e400, "cols": 1, "data": [[[1, 0]]]}',
+    "huge-integer-entry": '{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % ("0" * 400),
+    "ragged-row": '{"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0]]]}',
+    "non-numeric-entry": '{"rows": 1, "cols": 1, "data": [[["one", 0]]]}',
 }
 
 
@@ -101,6 +109,12 @@ def digest(input_dir, grid=GRID):
                 os.makedirs(work)
                 result = _cli(["generate", *argv, "--out", "out", "--format", fmt], work)
                 runs[f"generate {name} {fmt}"] = _record(result, os.path.join(work, "out"))
+        for name, text in PARSE_ERRORS.items():
+            with open(os.path.join(scratch, f"{name}.json"), "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for fmt in FORMATS:
+                result = _cli(["check", f"{name}.json", f"{name}.json", "--format", fmt], scratch)
+                runs[f"check {name} {fmt}"] = _record(result, os.path.join(scratch, f"check-{name}-{fmt}"))
         for name in sorted(os.listdir(input_dir)):
             pair = [os.path.join(name, "A.json"), os.path.join(name, "B.json")]
             for command in ("check", "classify", "canon"):

@@ -105,7 +105,7 @@ def _cmd_check(args) -> tuple[Report, int]:
 
 
 def _write_factors(out_dir, factors, report: Report) -> None:
-    """Write one file per factor and embed the same rendered payloads in the report."""
+    """Write one file per factor and embed the same JSON text in the report."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"command": report.command, "files": {}}
     embedded = {}

@@ -8,9 +8,9 @@ with one [re, im] decimal pair per entry.  All floats are written with 17
 significant digits, which round-trips IEEE doubles losslessly, and objects
 are emitted with sorted keys so serialization is byte-deterministic.
 
-One writer, :func:`_render_matrix`, turns every matrix into text.  The
-payload dict of a matrix carries that text, so a matrix written to a file
-and embedded in a report is rendered once.
+One writer, :func:`_render_matrix`, turns every matrix into text.  A
+matrix file holds that text, and a report embeds the same text, so a
+matrix written to a file and embedded in a report is rendered once.
 """
 
 from __future__ import annotations
@@ -66,39 +66,13 @@ def _render_matrix(pairs: np.ndarray) -> str:
     return f'{{"cols":{cols},"data":[{data}],"rows":{rows}}}'
 
 
-class _RenderedPayload(dict):
-    """A matrix payload dict that carries its JSON text in ``text``.
-
-    The writer and the reports read only ``text``, so the nested ``data``
-    lists are built on the first read of the dict's contents.
-    """
-
-    def __init__(self, pairs: np.ndarray):
-        rows, cols, _ = pairs.shape
-        super().__init__(rows=rows, cols=cols)
-        self._pairs = pairs
-        self.text = _render_matrix(pairs)
-
-    def __missing__(self, key):
-        if key != "data":
-            raise KeyError(key)
-        dict.__setitem__(self, "data", self._pairs.tolist())
-        return dict.__getitem__(self, "data")
-
-    def _full(self) -> dict:
-        self["data"]  # built by __missing__ on the first read
-        return self
-
-
-# Every other read of the dict's contents builds ``data`` first.
-for _name in ("__contains__", "__eq__", "__ne__", "__iter__", "__len__", "__repr__", "copy", "get", "items", "keys", "values"):
-    setattr(_RenderedPayload, _name, lambda self, *args, _read=getattr(dict, _name): _read(self._full(), *args))
-del _name
+class _Json(str):
+    """JSON text that :func:`_emit` splices into a document verbatim."""
 
 
 def _emit(obj) -> str:
-    if isinstance(obj, _RenderedPayload):
-        return obj.text
+    if isinstance(obj, _Json):  # before the str branch, which would quote it
+        return obj
     if isinstance(obj, dict):
         parts = (f"{json.dumps(str(k))}:{_emit(v)}" for k, v in sorted(obj.items()))
         return "{" + ",".join(parts) + "}"
@@ -122,14 +96,17 @@ def dumps_deterministic(obj) -> str:
     return _emit(obj) + "\n"
 
 
-def matrix_to_payload(m) -> dict:
-    """Matrix as a JSON-ready dict of [re, im] pairs, rendered once.
-
-    :func:`dumps_deterministic` writes the text rendered here for the dict,
-    so the dict must not be changed after it is built.
-    """
+def _pairs(m) -> np.ndarray:
+    """rows x cols x 2 array of the [re, im] floats of a matrix."""
     m = as_complex_matrix(m)
-    return _RenderedPayload(np.stack([m.real, m.imag], -1))
+    return np.stack([m.real, m.imag], -1)
+
+
+def matrix_to_payload(m) -> dict:
+    """Matrix as a JSON-ready dict of [re, im] pairs."""
+    pairs = _pairs(m)
+    rows, cols, _ = pairs.shape
+    return {"rows": rows, "cols": cols, "data": pairs.tolist()}
 
 
 def payload_to_matrix(payload) -> np.ndarray:
@@ -144,7 +121,7 @@ def payload_to_matrix(payload) -> np.ndarray:
         rows = int(payload["rows"])
         cols = int(payload["cols"])
         data = payload["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix payload: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix dimensions must be positive, got {rows} x {cols}")
@@ -159,7 +136,7 @@ def payload_to_matrix(payload) -> np.ndarray:
                 raise ParseError(f"entry ({i}, {j}) is not an [re, im] pair")
             try:
                 re, im = float(entry[0]), float(entry[1])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"entry ({i}, {j}) is not numeric: {exc}") from exc
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ParseError(f"entry ({i}, {j}) is not finite")
@@ -179,12 +156,15 @@ def parse_matrix_file(path) -> np.ndarray:
     return payload_to_matrix(payload)
 
 
-def write_matrix_file(path, m) -> dict:
-    """Write a matrix file; returns its payload, which holds the text written."""
-    payload = matrix_to_payload(m)
+def write_matrix_file(path, m) -> str:
+    """Write a matrix file; returns its JSON text, which a report embeds as is.
+
+    The file holds that text plus a newline.
+    """
+    text = _Json(_render_matrix(_pairs(m)))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_deterministic(payload))
-    return payload
+        handle.write(text + "\n")
+    return text
 
 
 @dataclass
@@ -209,16 +189,6 @@ class Report:
         return payload
 
 
-def _format_metric(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    return str(value)
-
-
 def format_report(report: Report, mode: str = "text") -> str:
     """Render a report; json mode is byte-deterministic, text is line-per-metric."""
     if mode == "json":
@@ -230,7 +200,8 @@ def format_report(report: Report, mode: str = "text") -> str:
         lines.append(f"input: {path}")
     lines.append(f"verdict: {report.verdict}")
     for key in report.metrics:
-        lines.append(f"{key} = {_format_metric(report.metrics[key])}")
+        value = report.metrics[key]
+        lines.append(f"{key} = {value if isinstance(value, str) else _emit(value)}")
     if report.factors:
         lines.append(f"factors: {', '.join(sorted(report.factors))}")
     return "\n".join(lines) + "\n"

@@ -49,43 +49,33 @@ class Parity(enum.Enum):
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """Matrix order m together with the derived n and construction parity."""
+    """Matrix order m; n = m // 2 and the construction parity follow from it."""
 
     m: int
-    n: int
-    parity: Parity
 
     def __post_init__(self):
-        if self.m < 2:
-            raise UnsupportedOrder(f"order must be at least 2, got {self.m}")
-        if self.parity is Parity.EVEN_ORDER:
-            if self.m != 2 * self.n:
-                raise UnsupportedOrder(f"even order requires m = 2n, got m={self.m}, n={self.n}")
-        else:
-            if self.m != 2 * self.n + 1:
-                raise UnsupportedOrder(f"odd order requires m = 2n+1, got m={self.m}, n={self.n}")
-            expected = Parity.ODD_N if self.n % 2 == 1 else Parity.EVEN_N
-            if self.parity is not expected:
-                raise UnsupportedOrder(f"n={self.n} implies parity {expected}, got {self.parity}")
+        least = 2 + self.m % 2
+        if self.m < least:
+            raise UnsupportedOrder(f"{'odd' if self.m % 2 else 'even'} order must be at least {least}, got {self.m}")
 
     @classmethod
     def from_order(cls, m: int) -> "OrderSpec":
         """Build the spec for a given matrix size (odd m >= 3 or even m >= 2)."""
-        if m % 2 == 1:
-            if m < 3:
-                raise UnsupportedOrder(f"odd order must be at least 3, got {m}")
-            n = (m - 1) // 2
-            parity = Parity.ODD_N if n % 2 == 1 else Parity.EVEN_N
-        else:
-            if m < 2:
-                raise UnsupportedOrder(f"even order must be at least 2, got {m}")
-            n = m // 2
-            parity = Parity.EVEN_ORDER
-        return cls(m=m, n=n, parity=parity)
+        return cls(m)
+
+    @property
+    def n(self) -> int:
+        return self.m // 2
+
+    @property
+    def parity(self) -> Parity:
+        if self.m % 2 == 0:
+            return Parity.EVEN_ORDER
+        return Parity.ODD_N if self.n % 2 == 1 else Parity.EVEN_N
 
     @property
     def is_odd_order(self) -> bool:
-        return self.parity is not Parity.EVEN_ORDER
+        return self.m % 2 == 1
 
     @property
     def csd_partition(self) -> tuple[int, int]:

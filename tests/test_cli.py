@@ -81,6 +81,14 @@ class TestCheck:
         _, code = run_command(["check", str(bad), str(tmp_path / "B.json")])
         assert code == 2
 
+    def test_overflowing_entry_exit_two_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % ("0" * 400))
+        result = run_cli("check", str(bad), str(bad))
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert result.stderr == ""
+        assert "verdict: error: entry (0, 0) is not numeric" in result.stdout
+
 
 class TestClassify:
     def test_identity_coupling_fixture(self, fixtures_dir):
@@ -146,8 +154,8 @@ class TestCanon:
         out = tmp_path / "factors"
         report, code = run_command(["canon", str(path_a), str(path_b), "--out", str(out)])
         assert code == 0
-        for name, payload in report.factors.items():
-            embedded = payload_to_matrix(payload)
+        for name, text in report.factors.items():
+            embedded = payload_to_matrix(json.loads(text))
             on_disk = parse_matrix_file(out / f"{name}.json")
             assert embedded.tobytes() == on_disk.tobytes()
 

@@ -1,6 +1,7 @@
 """Tests for matrix file serialization and report formatting."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ class TestMatrixPayload:
         with pytest.raises(ParseError):
             payload_to_matrix({"rows": 1, "data": [[[1, 0]]]})
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": 1e400, "cols": 1, "data": [[[1, 0]]]}',
+            '{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % ("0" * 400),
+        ],
+        ids=["huge-rows", "huge-integer-entry"],
+    )
+    def test_overflow_is_parse_error(self, text):
+        with pytest.raises(ParseError):
+            payload_to_matrix(json.loads(text))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_unitary_round_trip_property(self, seed):
@@ -83,6 +96,11 @@ def _matrices(draw):
     return np.array(values).view(complex).reshape(rows, cols)
 
 
+def _rendered(m):
+    """The text the one writer renders for a matrix, as write_matrix_file returns it."""
+    return write_matrix_file(os.devnull, m)
+
+
 def _plain_payload(m):
     """The payload as nested lists, built entry by entry."""
     rows, cols = m.shape
@@ -94,33 +112,32 @@ class TestOneWriter:
     @given(m=_matrices())
     @settings(max_examples=300, deadline=None)
     def test_text_matches_generic_writer(self, m):
-        payload = matrix_to_payload(m)
         plain = _plain_payload(m)
-        assert dumps_deterministic(payload) == dumps_deterministic(plain)
-        assert np.array(payload["data"]).tobytes() == np.array(plain["data"]).tobytes()
+        assert _rendered(m) + "\n" == dumps_deterministic(plain)
+        assert np.array(matrix_to_payload(m)["data"]).tobytes() == np.array(plain["data"]).tobytes()
 
     @given(m=_matrices())
     @settings(max_examples=100, deadline=None)
     def test_text_round_trips_bits(self, m):
-        back = payload_to_matrix(json.loads(dumps_deterministic(matrix_to_payload(m))))
+        back = payload_to_matrix(json.loads(_rendered(m)))
         assert back.tobytes() == m.tobytes()
 
     def test_strided_input(self):
         m = random_unitary(4, 2)[::2, ::-1].T
-        assert dumps_deterministic(matrix_to_payload(m)) == dumps_deterministic(_plain_payload(m))
+        assert _rendered(m) + "\n" == dumps_deterministic(_plain_payload(m))
 
     def test_real_input(self):
         m = np.array([[1.0, -0.0, 0.5]])
-        assert dumps_deterministic(matrix_to_payload(m)) == (
-            '{"cols":3,"data":[[[1.0,0.0],[-0.0,0.0],[0.5,0.0]]],"rows":1}\n'
-        )
+        expected = '{"cols":3,"data":[[[1.0,0.0],[-0.0,0.0],[0.5,0.0]]],"rows":1}'
+        assert _rendered(m) == expected
+        assert dumps_deterministic(matrix_to_payload(m)) == expected + "\n"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad, tmp_path):
         m = np.ones((2, 2), dtype=complex)
         m[1, 0] = complex(0.0, bad)
         with pytest.raises(ValueError):
-            matrix_to_payload(m)
+            dumps_deterministic(matrix_to_payload(m))
         with pytest.raises(ValueError):
             write_matrix_file(tmp_path / "m.json", m)
         with pytest.raises(ValueError):
@@ -131,34 +148,14 @@ class TestOneWriter:
         payload = write_matrix_file(path, random_unitary(3, 4))
         assert path.read_text(encoding="utf-8") == dumps_deterministic(payload)
 
-    @pytest.mark.parametrize(
-        "read",
-        [
-            lambda p: p["data"],
-            lambda p: p.get("data"),
-            lambda p: dict(p)["data"],
-            lambda p: dict(p.items())["data"],
-            lambda p: json.loads(json.dumps(p))["data"],
-            lambda p: p.copy()["data"],
-            lambda p: {**p}["data"],
-        ],
-    )
-    def test_data_built_on_first_read(self, tmp_path, read):
-        m = np.array([[1.0 - 0.0j, -0.0 + 2.5j], [1e17, -3.0]])
-        payload = write_matrix_file(tmp_path / "m.json", m)
-        assert not dict.__contains__(payload, "data")  # the writer never built it
-        plain = _plain_payload(m)
-        assert np.array(read(payload)).tobytes() == np.array(plain["data"]).tobytes()
-        assert payload == plain and sorted(payload) == ["cols", "data", "rows"] and len(payload) == 3
-        assert dumps_deterministic(payload) == dumps_deterministic(plain)
-
-    def test_one_render_per_payload(self, monkeypatch):
+    def test_one_render_per_payload(self, tmp_path, monkeypatch):
         calls = []
         render = matio._render_matrix
         monkeypatch.setattr(matio, "_render_matrix", lambda pairs: calls.append(1) or render(pairs))
-        payload = matrix_to_payload(random_unitary(3, 5))
-        dumps_deterministic({"factors": {"U": payload}})
-        dumps_deterministic(payload)
+        path = tmp_path / "u.json"
+        text = write_matrix_file(path, random_unitary(3, 5))
+        assert path.read_text(encoding="utf-8") == text + "\n"
+        assert dumps_deterministic({"factors": {"U": text}}) == f'{{"factors":{{"U":{text}}}}}\n'
         assert len(calls) == 1
 
 

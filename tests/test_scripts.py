@@ -29,8 +29,10 @@ def test_output_digest_smoke(tmp_path):
     expected = {f"generate {g} {fmt}" for g in ("m5-knone", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
                  for i in ("dirichlet", "m5-knone", "w_identity") for fmt in ("json", "text")}
+    expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     assert set(runs) == expected
     errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
+    errors |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in errors)
     assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for name, run in runs.items() if name not in errors)
     assert set(runs["generate m5-knone json"]["files"]) == {"A.json", "B.json"}

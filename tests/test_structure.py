@@ -33,29 +33,28 @@ C5_EXPECTED = np.array(
 )
 
 
+def _fields_by_formula(m):
+    """(n, parity) by cases: m = 2n+1 split on the parity of n, or m = 2n."""
+    if m % 2 == 1:
+        n = (m - 1) // 2
+        return n, Parity.ODD_N if n % 2 == 1 else Parity.EVEN_N
+    return m // 2, Parity.EVEN_ORDER
+
+
 class TestOrderSpec:
-    @pytest.mark.parametrize(
-        "m, n, parity",
-        [
-            (3, 1, Parity.ODD_N),
-            (5, 2, Parity.EVEN_N),
-            (7, 3, Parity.ODD_N),
-            (9, 4, Parity.EVEN_N),
-            (2, 1, Parity.EVEN_ORDER),
-            (6, 3, Parity.EVEN_ORDER),
-        ],
-    )
+    @pytest.mark.parametrize("m, n, parity", [(m, *_fields_by_formula(m)) for m in range(2, 41)])
     def test_from_order(self, m, n, parity):
         spec = OrderSpec.from_order(m)
-        assert (spec.m, spec.n, spec.parity) == (m, n, parity)
+        assert (spec.m, spec.n, spec.parity, spec.is_odd_order) == (m, n, parity, m % 2 == 1)
+        partition = {Parity.ODD_N: (n + 1, n), Parity.EVEN_N: (n, n + 1), Parity.EVEN_ORDER: (n, n)}[parity]
+        assert spec.csd_partition == partition
+        assert spec == OrderSpec(m) and hash(spec) == hash(OrderSpec(m))
 
     def test_rejects_too_small(self):
-        with pytest.raises(UnsupportedOrder):
+        with pytest.raises(UnsupportedOrder, match="odd order must be at least 3, got 1"):
             OrderSpec.from_order(1)
-
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(UnsupportedOrder):
-            OrderSpec(m=5, n=3, parity=Parity.ODD_N)
+        with pytest.raises(UnsupportedOrder, match="even order must be at least 2, got 0"):
+            OrderSpec(0)
 
     def test_csd_partition(self):
         assert OrderSpec.from_order(3).csd_partition == (2, 1)
