@@ -9,8 +9,9 @@ every (order, unit-cosine count) of ``GRID`` plus the ``dirichlet`` and
 commits digest the same inputs.  For each input the script runs ``check``,
 ``classify`` and ``canon``; it runs ``generate`` at each grid point and
 with each argument list of ``GENERATE_ERRORS``, which must fail with a usage
-error, and ``check`` on each malformed file of ``PARSE_ERRORS``, which must
-fail with an input error.  Every run is made in ``--format json`` and
+error, ``check`` on each malformed file of ``PARSE_ERRORS``, which must
+fail with an input error, and ``selftest`` with each argument list of
+``SELFTESTS``.  Every run is made in ``--format json`` and
 ``text``.  OUT.json maps each run to its exit code, the SHA-256 of its
 stdout and the SHA-256 of every file it wrote.
 
@@ -42,6 +43,16 @@ PARSE_ERRORS = {
     "huge-integer-entry": '{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % ("0" * 400),
     "ragged-row": '{"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0]]]}',
     "non-numeric-entry": '{"rows": 1, "cols": 1, "data": [[["one", 0]]]}',
+    # The next three hold I_2 but for one field that is not a JSON number of the
+    # right kind; a parser that coerces it reads a self-adjoint pair.
+    "fractional-rows": '{"rows": 2.5, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "string-cols": '{"rows": 2, "cols": "2", "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "bool-and-string-entry": '{"rows": 2, "cols": 2, "data": [[[true, "0"], [0, 0]], [[0, 0], [1, 0]]]}',
+}
+# selftest argument lists, by name.
+SELFTESTS = {
+    "default": [],
+    "orders-3,4,5-trials-3": ["--orders", "3,4,5", "--trials", "3"],
 }
 
 
@@ -115,6 +126,10 @@ def digest(input_dir, grid=GRID):
             for fmt in FORMATS:
                 result = _cli(["check", f"{name}.json", f"{name}.json", "--format", fmt], scratch)
                 runs[f"check {name} {fmt}"] = _record(result, os.path.join(scratch, f"check-{name}-{fmt}"))
+        for name, argv in SELFTESTS.items():
+            for fmt in FORMATS:
+                result = _cli(["selftest", *argv, "--format", fmt], scratch)
+                runs[f"selftest {name} {fmt}"] = _record(result, os.path.join(scratch, f"selftest-{name}-{fmt}"))
         for name in sorted(os.listdir(input_dir)):
             pair = [os.path.join(name, "A.json"), os.path.join(name, "B.json")]
             for command in ("check", "classify", "canon"):

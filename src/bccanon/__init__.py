@@ -51,7 +51,6 @@ from .linalg import (
 from .structure import (
     EigenBasis,
     OrderSpec,
-    Parity,
     eigenbasis,
     even_order_Z,
     q4_matrix,
@@ -76,7 +75,6 @@ __all__ = [
     "OddSize",
     "OrderSpec",
     "ParseError",
-    "Parity",
     "PartitionMismatch",
     "RankDeficient",
     "SelfAdjointReport",

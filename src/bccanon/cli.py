@@ -118,87 +118,44 @@ def _write_factors(out_dir, factors, report: Report) -> None:
         handle.write(dumps_deterministic(manifest))
 
 
-def _cmd_canon(args) -> tuple[Report, int]:
+def _load_form(args):
+    """(pair, canonical form of its parity) for the pair named by ``args``."""
     tol = _resolve_tolerances(args)
     pair = _load_pair(args.A, args.B)
-    out = Report(command="canon", inputs=[args.A, args.B], verdict="ok")
-    if pair.spec.is_odd_order:
-        form = canonical_decompose(pair, tol)
-        normalized = construct_from_W(form.W, pair.spec, tol)
+    decompose = canonical_decompose if pair.spec.is_odd_order else even_canonical_decompose
+    return pair, decompose(pair, tol)
+
+
+def _cmd_canon(args) -> tuple[Report, int]:
+    pair, form = _load_form(args)
+    spec = pair.spec
+    metrics = {"m": spec.m, "n": spec.n}
+    if spec.is_odd_order:
+        normalized = construct_from_W(form.W, spec, form.tol)
         product = form.reconstruct()
-        residual = float(np.linalg.norm(product - normalized.stacked()))
-        angle = float(np.max(row_space_angles(product, pair.stacked())))
-        out.metrics = {
-            "m": pair.spec.m,
-            "n": pair.spec.n,
-            "reconstruction_residual": residual,
-            "row_space_angle_max": angle,
-            "null_count": form.null_count,
-            "rank_A": form.predicted_rank_A,
-            "rank_B": form.predicted_rank_B,
-            "r": form.r,
-        }
-        out.verdict = form.classification.value
-        factors = {
-            "Q1": form.Q1,
-            "Q2": form.Q2,
-            "Q3": form.Q3,
-            "Q4": form.Q4,
-            "core": form.core,
-            "K": form.K,
-            "W": form.W,
-            "C_diag": form.cs.cos.reshape(1, -1),
-            "S_diag": form.cs.sin.reshape(1, -1),
-        }
+        metrics["reconstruction_residual"] = float(np.linalg.norm(product - normalized.stacked()))
+        metrics["row_space_angle_max"] = float(np.max(row_space_angles(product, pair.stacked())))
+        metrics.update(null_count=form.null_count, rank_A=form.rank, rank_B=form.rank, r=form.r)
+        factors = {"Q1": form.Q1, "Q2": form.Q2, "Q3": form.Q3, "Q4": form.Q4, "core": form.core, "K": form.K}
     else:
-        form = even_canonical_decompose(pair, tol)
-        residual = float(np.linalg.norm(form.reconstruct() - pair.stacked()))
-        out.metrics = {
-            "m": pair.spec.m,
-            "n": pair.spec.n,
-            "reconstruction_residual": residual,
-            "rank_S": form.rank_S,
-        }
-        out.verdict = form.classification.value
-        factors = {
-            "U": form.U,
-            "middle": form.middle,
-            "Z": form.Z,
-            "W": form.W,
-            "V1": form.cs.v1,
-            "U1": form.cs.u1,
-            "U2": form.cs.u2,
-            "V2": form.cs.v2,
-            "C_diag": form.cos.reshape(1, -1),
-            "S_diag": form.sin.reshape(1, -1),
-        }
+        metrics["reconstruction_residual"] = float(np.linalg.norm(form.reconstruct() - pair.stacked()))
+        metrics["rank_S"] = form.rank_S
+        cs = form.cs
+        factors = {"U": form.U, "middle": form.middle, "Z": form.Z, "V1": cs.v1, "U1": cs.u1, "U2": cs.u2, "V2": cs.v2}
+    factors.update(W=form.W, C_diag=form.cos.reshape(1, -1), S_diag=form.sin.reshape(1, -1))
+    out = Report(command="canon", inputs=[args.A, args.B], verdict=form.classification.value, metrics=metrics)
     _write_factors(args.out, factors, out)
     return out, EXIT_OK
 
 
 def _cmd_classify(args) -> tuple[Report, int]:
-    tol = _resolve_tolerances(args)
-    pair = _load_pair(args.A, args.B)
-    out = Report(command="classify", inputs=[args.A, args.B])
-    if pair.spec.is_odd_order:
-        form = canonical_decompose(pair, tol)
-        out.verdict = form.classification.value
-        out.metrics = {
-            "m": pair.spec.m,
-            "r": form.r,
-            "rank_A": form.predicted_rank_A,
-            "rank_B": form.predicted_rank_B,
-            "null_count": form.null_count,
-        }
-    else:
-        form = even_canonical_decompose(pair, tol)
-        out.verdict = form.classification.value
-        out.metrics = {
-            "m": pair.spec.m,
-            "rank_S": form.rank_S,
-            "rank_A": pair.spec.n + form.rank_S,
-            "rank_B": pair.spec.n + form.rank_S,
-        }
+    pair, form = _load_form(args)
+    odd = pair.spec.is_odd_order
+    offset = {"r": form.r} if odd else {"rank_S": form.rank_S}
+    metrics = {"m": pair.spec.m, **offset, "rank_A": form.rank, "rank_B": form.rank}
+    if odd:
+        metrics["null_count"] = form.null_count
+    out = Report(command="classify", inputs=[args.A, args.B], verdict=form.classification.value, metrics=metrics)
     return out, EXIT_OK
 
 

@@ -49,7 +49,6 @@ from .linalg import (
 )
 from .structure import (
     OrderSpec,
-    Parity,
     eigenbasis,
     even_order_Z,
     q4_matrix,
@@ -273,17 +272,9 @@ def _unit_rank(block: np.ndarray, tol: Tolerances) -> int:
 
 
 def _corner_blocks(w: np.ndarray, spec: OrderSpec):
-    """((offset, block) for rank A, (offset, block) for rank B).
-
-    rank A = offset + unit rank of its block, and likewise for rank B.  At
-    even order both blocks have the sines as singular values.
-    """
-    n = spec.n
-    if spec.parity is Parity.ODD_N:
-        return (n, w[n:, : n + 1]), (n + 1, w[:n, n + 1 :])
-    if spec.parity is Parity.EVEN_N:
-        return (n + 1, w[n + 1 :, :n]), (n, w[: n + 1, n:])
-    return (n, w[n:, :n]), (n, w[:n, n:])
+    """((offset, block) for rank A, (offset, block) for rank B); see :func:`coupling_block_ranks`."""
+    p, q = spec.csd_partition
+    return (q, w[q:, :p]), (p, w[:q, p:])
 
 
 def _decide(w: np.ndarray, spec: OrderSpec, tol: Tolerances):
@@ -303,13 +294,47 @@ def _decide(w: np.ndarray, spec: OrderSpec, tol: Tolerances):
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalForm:
+class _Form:
+    """Fields and CS factors shared by both canonical forms.
+
+    Holds the recovered W, its left factor P with (A : B) = P (I : W) V*,
+    the tolerances, rank A (= rank B) and the class.  The CS factors ``cs`` of W over ``spec.csd_partition``, and every factor
+    built from them, are derived on first access and then cached; the first
+    such read runs the CS decomposition and may raise ConvergenceFailure.
+    """
+
+    spec: OrderSpec
+    W: np.ndarray
+    P: np.ndarray
+    tol: Tolerances
+    rank: int
+    classification: Classification
+
+    @cached_property
+    def cs(self) -> CsFactors:
+        return cs_decompose(self.W, *self.spec.csd_partition, self.tol)
+
+    @property
+    def cos(self) -> np.ndarray:
+        return self.cs.cos
+
+    @property
+    def sin(self) -> np.ndarray:
+        return self.cs.sin
+
+
+def _decompose(pair: BoundaryPair, tol: Tolerances, form):
+    """Recover W, decide the rank and class from one corner block, wrap in ``form``."""
+    w, p_coef = _recover_coupling(pair, tol)
+    rank, classification = _decide(w, pair.spec, tol)
+    return form(pair.spec, w, p_coef, tol, rank, classification)
+
+
+class CanonicalForm(_Form):
     """Odd-order canonical factorization of a boundary pair.
 
-    Holds the recovered W, the tolerances and the rank decisions.  The CS
-    factors ``cs`` of W and every factor built from them are derived on
-    first access and then cached; the first such read runs the CS
-    decomposition and may raise ConvergenceFailure.  The factors satisfy
+    ``null_count``, ``predicted_rank_A/B`` and ``r`` follow from ``rank``.
+    The factors satisfy
     ``(1/sqrt 2) Q1 @ core @ Q2 == construct_from_W(W, spec)``, i.e.
     reconstruction agrees with the row-normalized representative of the
     input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
@@ -318,18 +343,21 @@ class CanonicalForm:
     where M M* = I - K K* and M = U_big[rest, rest] diag(sin).
     """
 
-    spec: OrderSpec
-    W: np.ndarray
-    tol: Tolerances
-    null_count: int
-    predicted_rank_A: int
-    predicted_rank_B: int
-    classification: Classification
-    r: int
+    @property
+    def null_count(self) -> int:
+        return self.spec.m - self.rank
 
-    @cached_property
-    def cs(self) -> CsFactors:
-        return cs_decompose(self.W, *self.spec.csd_partition, self.tol)
+    @property
+    def predicted_rank_A(self) -> int:
+        return self.rank
+
+    @property
+    def predicted_rank_B(self) -> int:
+        return self.rank
+
+    @property
+    def r(self) -> int:
+        return self.rank - (self.spec.n + 1)
 
     @cached_property
     def Q1(self) -> np.ndarray:
@@ -369,25 +397,13 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     """Canonical factorization of a self-adjoint odd-order pair.
 
     Recovers the coupling unitary W and decides the rank and classification
-    from the rank A corner block of W.  The CS decomposition of W over the
-    parity-dependent partition (n+1, n) or (n, n+1), and every factor built
+    from the rank A corner block of W.  The CS decomposition of W over
+    ``spec.csd_partition``, (n+1, n) or (n, n+1), and every factor built
     from it, are left to the returned form to derive when read.
     """
-    spec = pair.spec
-    if not spec.is_odd_order:
+    if not pair.spec.is_odd_order:
         raise UnsupportedOrder("canonical_decompose handles odd order; use even_canonical_decompose")
-    w = recover_W(pair, tol)
-    rank, classification = _decide(w, spec, tol)
-    return CanonicalForm(
-        spec=spec,
-        W=w,
-        tol=tol,
-        null_count=spec.m - rank,
-        predicted_rank_A=rank,
-        predicted_rank_B=rank,
-        classification=classification,
-        r=rank - (spec.n + 1),
-    )
+    return _decompose(pair, tol, CanonicalForm)
 
 
 def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
@@ -404,19 +420,17 @@ def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
 def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
     """(rank A, rank B) of a pair from the corner blocks of its W.
 
-    Odd order, odd n: rank A = n + rank of the lower-left (n+1) x (n+1)
-    block, rank B = n+1 + rank of the upper-right n x n block; the roles
-    flip for even n.  Even order m = 2n: rank A = n + rank W[n:, :n] and
-    rank B = n + rank W[:n, n:], i.e. n + rank S.  Ranks count singular
-    values above the absolute cutoff ``rank_rel``.  Both canonical
-    decompositions decide with the rank A block.
+    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
+    rank B = p + rank W[:q, p:].  At even order p = q = n and both blocks
+    have the sines as singular values, so each rank is n + rank S.  Ranks
+    count singular values above the absolute cutoff ``rank_rel``.  Both
+    canonical decompositions decide with the rank A block.
     """
     blocks = _corner_blocks(as_complex_matrix(w), spec)
     return tuple(offset + _unit_rank(block, tol) for offset, block in blocks)
 
 
-@dataclass(frozen=True, eq=False)
-class EvenCanonicalForm:
+class EvenCanonicalForm(_Form):
     """Even-order canonical factorization (A : B) = U @ middle @ right @ Z.
 
     U = P @ blockdiag(U1, U2) is 2n x 2n invertible (not necessarily
@@ -425,33 +439,21 @@ class EvenCanonicalForm:
     V1, U1*, U2*, V2, and Z the fixed unitary right factor.  Classification
     is read off the sines, the singular values of W's lower-left n x n
     block: separated iff S = 0, coupled iff S has full rank n, mixed in
-    between.  The CS factors ``cs`` and every factor built from them, U
-    included, are derived on first access and then cached; the first such
-    read runs the CS decomposition and may raise ConvergenceFailure.
+    between; ``rank_S = rank - n``.  U, like every factor built from the CS
+    factors, is derived on first access.
     """
 
-    n: int
-    W: np.ndarray
-    P: np.ndarray
-    tol: Tolerances
-    rank_S: int
-    classification: Classification
+    @property
+    def n(self) -> int:
+        return self.spec.n
 
-    @cached_property
-    def cs(self) -> CsFactors:
-        return cs_decompose(self.W, self.n, self.n, self.tol)
+    @property
+    def rank_S(self) -> int:
+        return self.rank - self.spec.n
 
     @cached_property
     def U(self) -> np.ndarray:
         return self.P @ block_diag(self.cs.u1, self.cs.u2)
-
-    @property
-    def cos(self) -> np.ndarray:
-        return self.cs.cos
-
-    @property
-    def sin(self) -> np.ndarray:
-        return self.cs.sin
 
     @cached_property
     def middle(self) -> np.ndarray:
@@ -480,19 +482,9 @@ def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) 
     invertible factor U, so reconstruction matches the input pair itself
     (not only its row space).
     """
-    spec = pair.spec
-    if spec.parity is not Parity.EVEN_ORDER:
-        raise OddSize(f"pair has odd size {spec.m}; use canonical_decompose")
-    w, p_coef = _recover_coupling(pair, tol)
-    rank, classification = _decide(w, spec, tol)
-    return EvenCanonicalForm(
-        n=spec.n,
-        W=w,
-        P=p_coef,
-        tol=tol,
-        rank_S=rank - spec.n,
-        classification=classification,
-    )
+    if pair.spec.is_odd_order:
+        raise OddSize(f"pair has odd size {pair.spec.m}; use canonical_decompose")
+    return _decompose(pair, tol, EvenCanonicalForm)
 
 
 def generate_random_pair(

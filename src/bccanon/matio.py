@@ -109,11 +109,17 @@ def matrix_to_payload(m) -> dict:
     return {"rows": rows, "cols": cols, "data": pairs.tolist()}
 
 
+# The Python types json.load gives JSON numbers; bool is not among them.
+_NUMBER = (int, float)
+
+
 def payload_to_matrix(payload) -> np.ndarray:
     """Parse the matrix dict back into a complex array.
 
-    Raises ParseError for structural problems and DimensionMismatch when
-    the data does not fill the declared rows x cols shape.
+    ``rows`` and ``cols`` must be JSON integers and each entry a pair of
+    JSON numbers.  Raises ParseError for structural problems and
+    DimensionMismatch when the data does not fill the declared rows x cols
+    shape.
     """
     if not isinstance(payload, dict):
         raise ParseError(f"matrix payload must be an object, got {type(payload).__name__}")
@@ -123,6 +129,8 @@ def payload_to_matrix(payload) -> np.ndarray:
         data = payload["data"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix payload: {exc}") from exc
+    if type(payload["rows"]) is not int or type(payload["cols"]) is not int:
+        raise ParseError(f"matrix dimensions must be integers, got {payload['rows']!r} x {payload['cols']!r}")
     if rows < 1 or cols < 1:
         raise ParseError(f"matrix dimensions must be positive, got {rows} x {cols}")
     if not isinstance(data, list) or len(data) != rows:
@@ -140,6 +148,8 @@ def payload_to_matrix(payload) -> np.ndarray:
                 raise ParseError(f"entry ({i}, {j}) is not numeric: {exc}") from exc
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ParseError(f"entry ({i}, {j}) is not finite")
+            if type(entry[0]) not in _NUMBER or type(entry[1]) not in _NUMBER:
+                raise ParseError(f"entry ({i}, {j}) is not a pair of JSON numbers")
             out[i, j] = complex(re, im)
     return out
 

@@ -15,7 +15,6 @@ definition) and converted to 0-based storage internally.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +24,6 @@ from .errors import UnsupportedOrder
 from .linalg import block_diag
 
 __all__ = [
-    "Parity",
     "OrderSpec",
     "EigenBasis",
     "symplectic_matrix",
@@ -35,21 +33,9 @@ __all__ = [
 ]
 
 
-class Parity(enum.Enum):
-    """Case split of the canonical-form construction.
-
-    ODD_N / EVEN_N cover odd order m = 2n+1 (split on the parity of n);
-    EVEN_ORDER marks the m = 2n extension.
-    """
-
-    ODD_N = "odd_n"
-    EVEN_N = "even_n"
-    EVEN_ORDER = "even_order"
-
-
 @dataclass(frozen=True)
 class OrderSpec:
-    """Matrix order m; n = m // 2 and the construction parity follow from it."""
+    """Matrix order m; n = m // 2 and the CS partition follow from it."""
 
     m: int
 
@@ -68,23 +54,20 @@ class OrderSpec:
         return self.m // 2
 
     @property
-    def parity(self) -> Parity:
-        if self.m % 2 == 0:
-            return Parity.EVEN_ORDER
-        return Parity.ODD_N if self.n % 2 == 1 else Parity.EVEN_N
-
-    @property
     def is_odd_order(self) -> bool:
         return self.m % 2 == 1
 
     @property
     def csd_partition(self) -> tuple[int, int]:
-        """CS-decomposition block sizes (p, q) used by the canonical form."""
-        if self.parity is Parity.ODD_N:
-            return self.n + 1, self.n
-        if self.parity is Parity.EVEN_N:
-            return self.n, self.n + 1
-        return self.n, self.n
+        """CS-decomposition block sizes (p, q) used by the canonical form.
+
+        (n, n) at even order; at odd order the block with n+1 rows comes
+        first for odd n and second for even n.
+        """
+        n = self.n
+        if self.m % 2 == 0:
+            return n, n
+        return (n + 1, n) if n % 2 else (n, n + 1)
 
 
 @lru_cache(maxsize=16)
@@ -150,14 +133,14 @@ def eigenbasis(spec: OrderSpec) -> EigenBasis:
     Cached per order; ``V`` is read-only.
     """
     n, m = spec.n, spec.m
-    if spec.parity is Parity.EVEN_ORDER:
+    if not spec.is_odd_order:
         z = even_order_Z(n)
         rows = [z[i * n : (i + 1) * n, :].conj().T for i in range(4)]
         return EigenBasis(spec=spec, V=np.hstack([rows[1], rows[2], rows[0], rows[3]]))
     plus, minus, unit = _column_blocks(n)
     zn = np.zeros((m, n), dtype=complex)
     z1 = np.zeros((m, 1), dtype=complex)
-    if spec.parity is Parity.ODD_N:
+    if n % 2:
         top = np.hstack([minus, z1, zn, plus, unit, zn])
         bottom = np.hstack([zn, unit, plus, zn, z1, minus])
     else:
@@ -172,7 +155,7 @@ def q4_matrix(spec: OrderSpec) -> np.ndarray:
     Each block is ``[I_n 0 (-1)^(n+1) C_n*; 0 sqrt(2) 0; I_n 0 (-1)^n C_n*]``
     and has pairwise orthogonal rows of squared norm 2, so Q4 Q4* = 2 I.
     """
-    if spec.parity is Parity.EVEN_ORDER:
+    if not spec.is_odd_order:
         raise UnsupportedOrder("q4_matrix is defined for odd order only")
     n, m = spec.n, spec.m
     cns = symplectic_matrix(n).conj().T

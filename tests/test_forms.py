@@ -247,16 +247,20 @@ class TestPredictedRanks:
         form = canonical_decompose(construct_from_W(np.eye(5, dtype=complex), SPEC5))
         assert (form.predicted_rank_A, form.predicted_rank_B, form.null_count) == (3, 3, 2)
 
-    @pytest.mark.parametrize("m", [3, 5, 7, 9])
+    @pytest.mark.parametrize("m", range(2, 14))
     def test_agrees_with_svd_ranks(self, m):
+        # Every layout of the corner blocks: even order, odd order with odd n and with even n.
         spec = OrderSpec.from_order(m)
-        for t in range(8):
+        decompose = canonical_decompose if spec.is_odd_order else even_canonical_decompose
+        for t in range(max(8, spec.n + 1)):
             k = t % (spec.n + 1)
             pair = generate_random_pair(spec, 7100 + t, target_unit_cosines=k)
-            form = canonical_decompose(pair)
-            assert form.null_count == k
-            assert form.predicted_rank_A == numerical_rank(pair.A)
-            assert form.predicted_rank_B == numerical_rank(pair.B)
+            form = decompose(pair)
+            ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
+            assert ranks == (m - k, m - k) == (form.rank, form.rank)
+            assert coupling_block_ranks(form.W, spec) == ranks
+            if spec.is_odd_order:
+                assert (form.null_count, form.predicted_rank_A, form.predicted_rank_B) == (k, *ranks)
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_block_rank_route_agrees(self, m):

@@ -68,6 +68,22 @@ class TestMatrixPayload:
         with pytest.raises(ParseError):
             payload_to_matrix(json.loads(text))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"rows": 1.9, "cols": 1, "data": [[[1, 0]]]},
+            {"rows": True, "cols": 1, "data": [[[1, 0]]]},
+            {"rows": 1, "cols": "1", "data": [[[1, 0]]]},
+            {"rows": 1, "cols": 1, "data": [[[True, "2"]]]},
+            {"rows": 1, "cols": 1, "data": [[[1, "2"]]]},
+            {"rows": 1, "cols": 1, "data": [[[1, False]]]},
+        ],
+        ids=["float-rows", "bool-rows", "string-cols", "bool-and-string-entry", "string-entry", "bool-entry"],
+    )
+    def test_non_json_number_is_parse_error(self, payload):
+        with pytest.raises(ParseError):
+            payload_to_matrix(payload)
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_unitary_round_trip_property(self, seed):

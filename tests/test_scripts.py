@@ -30,6 +30,7 @@ def test_output_digest_smoke(tmp_path):
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
                  for i in ("dirichlet", "m5-knone", "w_identity") for fmt in ("json", "text")}
     expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
+    expected |= {f"selftest {s} {fmt}" for s in script.SELFTESTS for fmt in ("json", "text")}
     assert set(runs) == expected
     errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
     errors |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
