@@ -46,7 +46,6 @@ from .matio import (
     parse_matrix_file,
     write_matrix_file,
 )
-from .selftest import run_selftest
 from .structure import OrderSpec
 
 EXIT_OK = 0
@@ -188,6 +187,8 @@ def _cmd_generate(args) -> tuple[Report, int]:
 
 
 def _cmd_selftest(args) -> tuple[Report, int]:
+    from .selftest import run_selftest  # loaded only by the command that runs it
+
     tol = _resolve_tolerances(args)
     try:
         orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())

@@ -43,7 +43,6 @@ from .linalg import (
     as_complex_matrix,
     block_diag,
     haar_unitary,
-    numerical_rank,
     relative_rank,
     unitarity_residual,
 )
@@ -85,9 +84,10 @@ class Classification(enum.Enum):
 class BoundaryPair:
     """Pair (A, B) of m x m complex matrices with its order bookkeeping.
 
-    Immutable: A and B are private read-only copies, and the Gram residual
-    and singular values of (A : B) are measured once, on first use, for
-    every check and decomposition of the pair.  ``spec`` defaults to A's size.
+    Immutable: A and B are private read-only copies.  The read-only
+    (A : B), its Gram residual and singular values, and the singular values
+    of A and of B are each computed once, on first use, for every check and
+    decomposition of the pair.  ``spec`` defaults to A's size.
     """
 
     A: np.ndarray
@@ -110,8 +110,14 @@ class BoundaryPair:
         return cls(A=a, B=b)
 
     def stacked(self) -> np.ndarray:
-        """The m x 2m concatenation (A : B)."""
-        return np.hstack([self.A, self.B])
+        """The m x 2m concatenation (A : B); the same read-only array on every call."""
+        return self._stacked
+
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        ab = np.hstack([self.A, self.B])
+        ab.flags.writeable = False
+        return ab
 
     @cached_property
     def _criterion_numbers(self) -> tuple[float, np.ndarray]:
@@ -120,6 +126,11 @@ class BoundaryPair:
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(np.linalg.norm(self.A @ c @ self.A.conj().T - self.B @ c @ self.B.conj().T))
         return residual, np.linalg.svd(self.stacked(), compute_uv=False)
+
+    @cached_property
+    def _block_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """(singular values of A, singular values of B)."""
+        return np.linalg.svd(self.A, compute_uv=False), np.linalg.svd(self.B, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -151,10 +162,11 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     Each call applies its own ``tol`` to the pair's cached measurement.
     rank A and rank B are reported as diagnostics; the verdict does not use them.
     """
+    sigma_a, sigma_b = pair._block_singular_values
     return SelfAdjointReport(
         *_self_adjoint_criterion(pair, tol),
-        rank_A=numerical_rank(pair.A, tol),
-        rank_B=numerical_rank(pair.B, tol),
+        rank_A=relative_rank(sigma_a, tol),
+        rank_B=relative_rank(sigma_b, tol),
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -48,21 +49,25 @@ def _format_float(x: float) -> str:
 # Entry templates indexed by 2 * (re is bare) + (im is bare).  A float is
 # bare when %.17g prints it without a fraction part or an exponent: an
 # integer below 1e17 in magnitude.  %.1f prints the same digits plus ".0",
-# which is what _format_float writes for it.
-_ENTRY = ("[%.17g,%.17g]", "[%.17g,%.1f]", "[%.1f,%.17g]", "[%.1f,%.1f]")
+# which is what _format_float writes for it.  The last template is the
+# text of an exact +0.0+0.0j entry, written without formatting.
+_ENTRY = ("[%.17g,%.17g]", "[%.17g,%.1f]", "[%.1f,%.17g]", "[%.1f,%.1f]", "[0.0,0.0]")
+_ZERO = len(_ENTRY) - 1
 
 
 def _render_matrix(pairs: np.ndarray) -> str:
     """JSON text of a matrix payload from its rows x cols x 2 [re, im] floats.
 
     The same bytes as :func:`dumps_deterministic` of the nested-list
-    payload, formatted in one pass.  The floats must be finite.
+    payload, formatted in one pass.  The floats must be finite.  Entries
+    with a -0.0 part are formatted, which keeps their sign bits.
     """
     rows, cols, _ = pairs.shape
     bare = (np.floor(pairs) == pairs) & (np.abs(pairs) < 1e17)
-    kinds = (2 * bare[..., 0] + bare[..., 1]).tolist()
+    zero = ~(pairs.view(np.uint64).any(-1))  # both parts are +0.0, bit for bit
+    kinds = np.where(zero, _ZERO, 2 * bare[..., 0] + bare[..., 1]).tolist()
     template = ",".join("[" + ",".join([_ENTRY[k] for k in row]) + "]" for row in kinds)
-    data = template % tuple(pairs.ravel().tolist())
+    data = template % tuple(pairs[~zero].ravel().tolist())
     return f'{{"cols":{cols},"data":[{data}],"rows":{rows}}}'
 
 
@@ -110,7 +115,56 @@ def matrix_to_payload(m) -> dict:
 
 
 # The Python types json.load gives JSON numbers; bool is not among them.
-_NUMBER = (int, float)
+_NUMBER = frozenset((int, float))
+
+
+def _all_lists(items) -> bool:
+    """Whether every item is a list, as ``isinstance`` tests it."""
+    return all(issubclass(t, list) for t in set(map(type, items)))
+
+
+def _plain_values(data: list, cols: int) -> np.ndarray | None:
+    """The 2 * rows * cols floats of ``data``, or None when any row or entry is malformed.
+
+    Checks the whole payload at once: every row a list of ``cols`` entries,
+    every entry a list of two JSON numbers, every number finite as a float.
+    """
+    if not _all_lists(data) or set(map(len, data)) != {cols}:
+        return None
+    entries = list(chain.from_iterable(data))
+    if not _all_lists(entries) or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not _NUMBER.issuperset(map(type, flat)):
+        return None
+    try:
+        values = np.array(flat, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _check_entry(i: int, j: int, entry) -> None:
+    """Raise ParseError unless entry (i, j) is a pair of finite JSON numbers."""
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ParseError(f"entry ({i}, {j}) is not an [re, im] pair")
+    try:
+        re, im = float(entry[0]), float(entry[1])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"entry ({i}, {j}) is not numeric: {exc}") from exc
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ParseError(f"entry ({i}, {j}) is not finite")
+    if type(entry[0]) not in _NUMBER or type(entry[1]) not in _NUMBER:
+        raise ParseError(f"entry ({i}, {j}) is not a pair of JSON numbers")
+
+
+def _raise_first_error(data: list, cols: int) -> None:
+    """Raise the error of the first malformed row or entry of ``data``, in row-major order."""
+    for i, row in enumerate(data):
+        if not isinstance(row, list) or len(row) != cols:
+            raise DimensionMismatch(f"row {i} has {len(row) if isinstance(row, list) else 'non-list'} entries, expected {cols}")
+        for j, entry in enumerate(row):
+            _check_entry(i, j, entry)
 
 
 def payload_to_matrix(payload) -> np.ndarray:
@@ -119,7 +173,8 @@ def payload_to_matrix(payload) -> np.ndarray:
     ``rows`` and ``cols`` must be JSON integers and each entry a pair of
     JSON numbers.  Raises ParseError for structural problems and
     DimensionMismatch when the data does not fill the declared rows x cols
-    shape.
+    shape.  The data is checked and converted in bulk; only a payload that
+    fails is walked entry by entry, to name its first malformed row or entry.
     """
     if not isinstance(payload, dict):
         raise ParseError(f"matrix payload must be an object, got {type(payload).__name__}")
@@ -135,23 +190,10 @@ def payload_to_matrix(payload) -> np.ndarray:
         raise ParseError(f"matrix dimensions must be positive, got {rows} x {cols}")
     if not isinstance(data, list) or len(data) != rows:
         raise DimensionMismatch(f"expected {rows} data rows, got {len(data) if isinstance(data, list) else 'non-list'}")
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise DimensionMismatch(f"row {i} has {len(row) if isinstance(row, list) else 'non-list'} entries, expected {cols}")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ParseError(f"entry ({i}, {j}) is not an [re, im] pair")
-            try:
-                re, im = float(entry[0]), float(entry[1])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"entry ({i}, {j}) is not numeric: {exc}") from exc
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise ParseError(f"entry ({i}, {j}) is not finite")
-            if type(entry[0]) not in _NUMBER or type(entry[1]) not in _NUMBER:
-                raise ParseError(f"entry ({i}, {j}) is not a pair of JSON numbers")
-            out[i, j] = complex(re, im)
-    return out
+    values = _plain_values(data, cols)
+    if values is None:
+        _raise_first_error(data, cols)
+    return values.view(complex).reshape(rows, cols)
 
 
 def parse_matrix_file(path) -> np.ndarray:

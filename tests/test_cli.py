@@ -320,6 +320,7 @@ def scipy_modules():
 
 def assert_no_scipy(step):
     assert not scipy_modules(), (step, scipy_modules()[:3])
+    assert "bccanon.selftest" not in sys.modules, step
 
 import bccanon
 assert_no_scipy("import bccanon")
@@ -363,7 +364,10 @@ def _run_scipy_guard(body, fixtures_dir, tmp_path):
 
 
 class TestLazyScipy:
-    """No command loads scipy: bccanon runs on numpy alone."""
+    """No command loads scipy: bccanon runs on numpy alone.
+
+    Nor does any command but ``selftest`` load ``bccanon.selftest``.
+    """
 
     def test_check_runs_without_scipy(self, fixtures_dir, tmp_path):
         stdout = _run_scipy_guard(_SCIPY_CHECK, fixtures_dir, tmp_path)

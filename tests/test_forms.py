@@ -448,3 +448,45 @@ class TestMeasuredOnce:
         _decompose(pair)
         # (A : B), A and B for the check; the two coefficient matrices and one corner block for W.
         assert len(calls) == 6, calls
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_second_check_runs_no_svd(self, monkeypatch, m):
+        pair = generate_random_pair(OrderSpec.from_order(m), 3)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        first = check_self_adjoint(pair)
+        assert len(calls) == 3, calls
+        assert check_self_adjoint(pair) == first
+        assert len(calls) == 3, calls
+        _decompose(pair)
+        assert len(calls) == 6, calls
+
+    def test_stacked_is_one_read_only_array(self):
+        pair = generate_random_pair(SPEC5, 2)
+        ab = pair.stacked()
+        assert pair.stacked() is ab
+        assert np.array_equal(ab, np.hstack([pair.A, pair.B]))
+        with pytest.raises(ValueError):
+            ab[0, 0] = 0.0
+
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_reported_ranks_match_numerical_rank(self, m):
+        # Every k from 0 (full rank) to n (rank A = m - n), through an invertible G.
+        spec = OrderSpec.from_order(m)
+        rng = np.random.default_rng(900 + m)
+        loose, default = Tolerances(rank_rel=0.25), Tolerances()
+        for k in range(spec.n + 1):
+            normalized = generate_random_pair(spec, 9100 + k, target_unit_cosines=k)
+            g = conditioned_invertible(m, rng)
+            pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+            tols = (loose, default, loose)
+            reports = [check_self_adjoint(pair, tol) for tol in tols]
+            for tol, report in zip(tols, reports):
+                assert (report.rank_A, report.rank_B) == (numerical_rank(pair.A, tol), numerical_rank(pair.B, tol))
+            assert reports[1].rank_A == reports[1].rank_B == m - k

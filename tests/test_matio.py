@@ -84,6 +84,33 @@ class TestMatrixPayload:
         with pytest.raises(ParseError):
             payload_to_matrix(payload)
 
+    @pytest.mark.parametrize(
+        "data, error, message",
+        [
+            ([[[1, 0], [1, "one"]], [[1, 0]]], ParseError, "entry (0, 1) is not numeric: could not convert string to float: 'one'"),
+            ([[[1, 0], [1, 0]], [[1, 0], ["inf", 0]]], ParseError, "entry (1, 1) is not finite"),
+            ([[[1, 0], [True, 0]], [[1, 0], [1]]], ParseError, "entry (0, 1) is not a pair of JSON numbers"),
+            ([[[1, 0], [1, 0]], [[1, 0], [1]]], ParseError, "entry (1, 1) is not an [re, im] pair"),
+            ([[[1, 0], [1, None]], [[1, 0], [1, 0]]], ParseError, "entry (0, 1) is not numeric: float() argument must be a string or a real number, not 'NoneType'"),
+            ([[[1, 0], [1, 0]], [[1, 0], [10**400, 0]]], ParseError, "entry (1, 1) is not numeric: int too large to convert to float"),
+            ([[[1, 0]], [[1, 0], ["x", 0]]], DimensionMismatch, "row 0 has 1 entries, expected 2"),
+            ([[[1, 0], [1, 0]], 5], DimensionMismatch, "row 1 has non-list entries, expected 2"),
+        ],
+        ids=["string", "inf-string", "bool-before-short-entry", "short-entry", "null", "huge-integer", "short-row-first", "non-list-row"],
+    )
+    def test_first_malformed_entry_is_named(self, data, error, message):
+        # Rows and entries are checked in row-major order; the first failure names the error.
+        with pytest.raises(error) as info:
+            payload_to_matrix({"rows": 2, "cols": 2, "data": data})
+        assert str(info.value) == message
+
+    def test_integers_and_signed_zeros_keep_their_bits(self):
+        data = [[[0, -0.0], [-0.0, 0.0]], [[2**60 + 1, -3], [1e-300, -(2**70)]]]
+        m = payload_to_matrix({"rows": 2, "cols": 2, "data": data})
+        expected = np.array([[float(re), float(im)] for row in data for re, im in row])
+        assert m.dtype == complex and m.shape == (2, 2) and m.flags.writeable
+        assert m.tobytes() == expected.tobytes()
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_unitary_round_trip_property(self, seed):
@@ -147,6 +174,17 @@ class TestOneWriter:
         expected = '{"cols":3,"data":[[[1.0,0.0],[-0.0,0.0],[0.5,0.0]]],"rows":1}'
         assert _rendered(m) == expected
         assert dumps_deterministic(matrix_to_payload(m)) == expected + "\n"
+
+    def test_signed_zeros_match_generic_writer(self):
+        # Each (re, im) of +-0.0 and a nonzero value, alone and side by side:
+        # only +0.0+0.0j skips formatting, and every -0.0 keeps its sign.
+        values = (0.0, -0.0, 1.0, -2.5)
+        m = np.array([[[re, im] for im in values] for re in values]).view(complex)[..., 0]
+        for entry in m.ravel():
+            one = np.array([[entry]])
+            assert _rendered(one) + "\n" == dumps_deterministic(_plain_payload(one))
+        assert _rendered(m) + "\n" == dumps_deterministic(_plain_payload(m))
+        assert payload_to_matrix(json.loads(_rendered(m))).tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad, tmp_path):
