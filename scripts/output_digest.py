@@ -9,11 +9,11 @@ every (order, unit-cosine count) of ``GRID`` plus the ``dirichlet`` and
 commits digest the same inputs.  For each input the script runs ``check``,
 ``classify`` and ``canon``; it runs ``generate`` at each grid point and
 with each argument list of ``GENERATE_ERRORS``, which must fail with a usage
-error, ``check`` on each malformed file of ``PARSE_ERRORS``, which must
-fail with an input error, and ``selftest`` with each argument list of
-``SELFTESTS``.  Every run is made in ``--format json`` and
-``text``.  OUT.json maps each run to its exit code, the SHA-256 of its
-stdout and the SHA-256 of every file it wrote.
+error, ``check`` on each malformed file of ``PARSE_ERRORS`` (raw bytes, not
+all of them UTF-8), which must fail with an input error, and ``selftest``
+with each argument list of ``SELFTESTS``.  Every run is made in
+``--format json`` and ``text``.  OUT.json maps each run to its exit code,
+the SHA-256 of its stdout and the SHA-256 of every file it wrote.
 
 The CLI runs as ``python -m bccanon.cli`` in a subprocess, so PYTHONPATH
 picks the commit under test; see the README for a two-commit comparison.
@@ -39,15 +39,16 @@ GENERATE_ERRORS = {
 }
 # Malformed matrix files that check must reject with an input error (exit 2), by name.
 PARSE_ERRORS = {
-    "huge-rows": '{"rows": 1e400, "cols": 1, "data": [[[1, 0]]]}',
-    "huge-integer-entry": '{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % ("0" * 400),
-    "ragged-row": '{"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0]]]}',
-    "non-numeric-entry": '{"rows": 1, "cols": 1, "data": [[["one", 0]]]}',
+    "huge-rows": b'{"rows": 1e400, "cols": 1, "data": [[[1, 0]]]}',
+    "huge-integer-entry": b'{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % (b"0" * 400),
+    "ragged-row": b'{"rows": 2, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0]]]}',
+    "non-numeric-entry": b'{"rows": 1, "cols": 1, "data": [[["one", 0]]]}',
     # The next three hold I_2 but for one field that is not a JSON number of the
     # right kind; a parser that coerces it reads a self-adjoint pair.
-    "fractional-rows": '{"rows": 2.5, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
-    "string-cols": '{"rows": 2, "cols": "2", "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
-    "bool-and-string-entry": '{"rows": 2, "cols": 2, "data": [[[true, "0"], [0, 0]], [[0, 0], [1, 0]]]}',
+    "fractional-rows": b'{"rows": 2.5, "cols": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "string-cols": b'{"rows": 2, "cols": "2", "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+    "bool-and-string-entry": b'{"rows": 2, "cols": 2, "data": [[[true, "0"], [0, 0]], [[0, 0], [1, 0]]]}',
+    "not-utf8": b'\xff{"rows": 1, "cols": 1, "data": [[[1, 0]]]}',
 }
 # selftest argument lists, by name.
 SELFTESTS = {
@@ -120,9 +121,9 @@ def digest(input_dir, grid=GRID):
                 os.makedirs(work)
                 result = _cli(["generate", *argv, "--out", "out", "--format", fmt], work)
                 runs[f"generate {name} {fmt}"] = _record(result, os.path.join(work, "out"))
-        for name, text in PARSE_ERRORS.items():
-            with open(os.path.join(scratch, f"{name}.json"), "w", encoding="utf-8") as handle:
-                handle.write(text)
+        for name, content in PARSE_ERRORS.items():
+            with open(os.path.join(scratch, f"{name}.json"), "wb") as handle:
+                handle.write(content)
             for fmt in FORMATS:
                 result = _cli(["check", f"{name}.json", f"{name}.json", "--format", fmt], scratch)
                 runs[f"check {name} {fmt}"] = _record(result, os.path.join(scratch, f"check-{name}-{fmt}"))

@@ -27,6 +27,7 @@ keeps u1 = u2 = I.  Last, one phase per angle is normalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,8 @@ class CsFactors:
 
     ``u1``/``v1`` are p x p, ``u2``/``v2`` are q x q; ``cos`` and ``sin``
     have length min(p, q), entries in [0, 1] with cos non-increasing and
-    cos[i]^2 + sin[i]^2 = 1.
+    cos[i]^2 + sin[i]^2 = 1.  ``core`` is built once, on first use, and
+    is read-only.
     """
 
     p: int
@@ -54,9 +56,11 @@ class CsFactors:
     cos: np.ndarray
     sin: np.ndarray
 
-    @property
+    @cached_property
     def core(self) -> np.ndarray:
-        return cs_core(self.p, self.q, self.cos, self.sin)
+        core = cs_core(self.p, self.q, self.cos, self.sin)
+        core.flags.writeable = False
+        return core
 
 
 def cs_core(p: int, q: int, cos, sin) -> np.ndarray:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .csd import CsFactors, cs_core, cs_decompose
+from .csd import CsFactors, cs_decompose, cs_reconstruct
 from .errors import (
     ConvergenceFailure,
     InvalidTarget,
@@ -530,11 +530,8 @@ def generate_random_pair(
         cos = np.sort(np.concatenate([np.ones(k), rng.uniform(1e-3, 1.0 - 1e-3, n - k)]))[::-1]
         sin = np.sqrt(1.0 - cos**2)
         p, q = spec.csd_partition
-        w = (
-            block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
-            @ cs_core(p, q, cos, sin)
-            @ block_diag(haar_unitary(p, rng), haar_unitary(q, rng))
-        )
+        u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
+        w = cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, cos, sin))
         pair = construct_from_W(w, spec, tol)
         rank, _ = _decide(recover_W(pair, tol), spec, tol)
         if spec.m - rank == k:

@@ -197,7 +197,7 @@ def payload_to_matrix(payload) -> np.ndarray:
 
 
 def parse_matrix_file(path) -> np.ndarray:
-    """Read a matrix JSON file; ParseError covers I/O and JSON failures."""
+    """Read a matrix JSON file; ParseError covers I/O, UTF-8 and JSON failures."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -205,6 +205,8 @@ def parse_matrix_file(path) -> np.ndarray:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from exc
     return payload_to_matrix(payload)
 
 

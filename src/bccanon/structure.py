@@ -4,8 +4,9 @@ This module builds, in exact arithmetic up to 1/sqrt(2) factors:
 
 * the signed antidiagonal symplectic matrices ``C_m``,
 * the explicit unitary eigenbasis ``V`` that splits the two eigenspaces of
-  the structure matrix, for odd order m = 2n+1 (with two layouts, one per
-  parity of n) and for even order m = 2n (from the block rows of ``Z``),
+  the structure matrix, for odd order m = 2n+1 and even order m = 2n, as
+  a column permutation of the conjugate transpose of ``Q4`` or ``Z``, with
+  the odd layout read from ``OrderSpec.csd_partition``,
 * the column transform ``Q4`` appearing in the canonical factorization,
 * the fixed right factor ``Z`` of the even-order (m = 2n) canonical form.
 
@@ -104,49 +105,31 @@ class EigenBasis:
         self.V.flags.writeable = False
 
 
-def _column_blocks(n: int):
-    """The three column building blocks shared by both odd-order layouts."""
-    m = 2 * n + 1
-    cn = symplectic_matrix(n)
-    plus = np.zeros((m, n), dtype=complex)
-    plus[:n, :] = np.eye(n)
-    plus[n + 1 :, :] = (-1.0) ** (n + 1) * cn
-    plus /= np.sqrt(2.0)
-    minus = np.zeros((m, n), dtype=complex)
-    minus[:n, :] = np.eye(n)
-    minus[n + 1 :, :] = (-1.0) ** n * cn
-    minus /= np.sqrt(2.0)
-    unit = np.zeros((m, 1), dtype=complex)
-    unit[n, 0] = 1.0  # the (n+1)-th coordinate vector, built by index
-    return plus, minus, unit
-
-
 @lru_cache(maxsize=8)
 def eigenbasis(spec: OrderSpec) -> EigenBasis:
     """Explicit diagonalizing eigenbasis of either parity.
 
-    Odd order m = 2n+1: the column layout depends on the parity of n; both
-    variants place the -1 eigenvectors first.  Even order m = 2n: the
-    columns are the conjugated block rows of Z in the order (2, 3, 1, 4);
+    V is a column permutation of R*, with R the order's fixed right factor.
+    Odd order m = 2n+1: R = Q4, and each diagonal block of Q4* / sqrt(2) is
+    ``[plus | unit | minus]``; V takes ``[minus_top, unit, plus_bottom,
+    plus_top, other unit, minus_bottom]``, so the -1 eigenvectors come
+    first.  The first unit is the bottom copy's when ``spec.csd_partition``
+    = (p, q) has p > q and the top copy's when q > p.  Even order m = 2n:
+    R = Z, and V takes the column blocks of Z* in the order (2, 3, 1, 4);
     which sign of ``i C_2n (+) -i C_2n`` the first half carries flips with
     the parity of n, and is immaterial to the recovery built on the basis.
     Cached per order; ``V`` is read-only.
     """
     n, m = spec.n, spec.m
-    if not spec.is_odd_order:
-        z = even_order_Z(n)
-        rows = [z[i * n : (i + 1) * n, :].conj().T for i in range(4)]
-        return EigenBasis(spec=spec, V=np.hstack([rows[1], rows[2], rows[0], rows[3]]))
-    plus, minus, unit = _column_blocks(n)
-    zn = np.zeros((m, n), dtype=complex)
-    z1 = np.zeros((m, 1), dtype=complex)
-    if n % 2:
-        top = np.hstack([minus, z1, zn, plus, unit, zn])
-        bottom = np.hstack([zn, unit, plus, zn, z1, minus])
+    if spec.is_odd_order:
+        p, q = spec.csd_partition
+        first, second = (m + n, n) if p > q else (n, m + n)
+        right = q4_matrix(spec) / np.sqrt(2.0)
+        cols = np.r_[n + 1 : m, first, m : m + n, :n, second, m + n + 1 : 2 * m]
     else:
-        top = np.hstack([minus, unit, zn, plus, z1, zn])
-        bottom = np.hstack([zn, z1, plus, zn, unit, minus])
-    return EigenBasis(spec=spec, V=np.vstack([top, bottom]))
+        right = even_order_Z(n)
+        cols = np.r_[n : 3 * n, :n, 3 * n : 4 * n]
+    return EigenBasis(spec=spec, V=right.conj().T[:, cols])
 
 
 def q4_matrix(spec: OrderSpec) -> np.ndarray:

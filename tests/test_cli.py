@@ -89,6 +89,14 @@ class TestCheck:
         assert result.stderr == ""
         assert "verdict: error: entry (0, 0) is not numeric" in result.stdout
 
+    def test_not_utf8_file_exit_two_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff{"rows": 1, "cols": 1, "data": [[[1, 0]]]}')
+        result = run_cli("check", str(bad), str(bad))
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert result.stderr == ""
+        assert f"verdict: error: {bad} is not UTF-8: " in result.stdout
+
 
 class TestClassify:
     def test_identity_coupling_fixture(self, fixtures_dir):

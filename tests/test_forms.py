@@ -28,6 +28,7 @@ from bccanon import (
     recover_W,
     row_space_angles,
 )
+from bccanon import csd
 
 SPEC5 = OrderSpec.from_order(5)
 SPEC3 = OrderSpec.from_order(3)
@@ -432,6 +433,24 @@ class TestMeasuredOnce:
         else:
             assert form.rank_S == fresh.rank_S
             assert form.P.tobytes() == fresh.P.tobytes()
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_cs_core_is_built_once_and_read_only(self, monkeypatch, m):
+        form = _decompose(generate_random_pair(OrderSpec.from_order(m), 3))
+        cs = form.cs
+        calls = []
+        build = csd.cs_core
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(csd, "cs_core", counting)
+        for name in ("core", "K", "Q2") if m % 2 else ("middle", "right"):
+            getattr(form, name)
+        assert cs.core is cs.core and len(calls) == 1
+        with pytest.raises(ValueError):
+            cs.core[0, 0] = 0.0
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_check_then_decompose_runs_six_svds(self, monkeypatch, m):

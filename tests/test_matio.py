@@ -230,6 +230,13 @@ class TestMatrixFiles:
         with pytest.raises(ParseError):
             parse_matrix_file(path)
 
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff{"rows": 1, "cols": 1, "data": [[[1, 0]]]}')
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix_file(path)
+        assert str(excinfo.value).startswith(f"{path} is not UTF-8: ")
+
     def test_fixture_c5(self, fixtures_dir):
         from bccanon import symplectic_matrix
 

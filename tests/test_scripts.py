@@ -32,6 +32,7 @@ def test_output_digest_smoke(tmp_path):
     expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     expected |= {f"selftest {s} {fmt}" for s in script.SELFTESTS for fmt in ("json", "text")}
     assert set(runs) == expected
+    assert {"check not-utf8 json", "check not-utf8 text"} <= expected
     errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
     errors |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in errors)

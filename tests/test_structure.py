@@ -94,7 +94,7 @@ class TestSymplecticMatrix:
 
 
 class TestEigenbasis:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_unitary_and_diagonalizing(self, n):
         spec = OrderSpec.from_order(2 * n + 1)
         basis = eigenbasis(spec)
@@ -104,7 +104,7 @@ class TestEigenbasis:
         signature = block_diag(-np.eye(m), np.eye(m))
         assert np.max(np.abs(h @ basis.V - basis.V @ signature)) < 1e-14
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_entry_set_and_count(self, n):
         v = eigenbasis(OrderSpec.from_order(2 * n + 1)).V
         nonzero = v[np.abs(v) > 0]
@@ -126,7 +126,29 @@ class TestEigenbasis:
         expected[3:, :2] = s * c2
         assert np.max(np.abs(basis.V[:5, :5] - expected)) < 1e-15
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    def test_block_v11_for_n_three(self):
+        # p > q: [minus | 0 | 0] with minus = [I3; 0; -C3] / sqrt(2); the first unit is in the bottom half
+        spec = OrderSpec.from_order(7)
+        assert spec.csd_partition == (4, 3)
+        s = 1.0 / np.sqrt(2.0)
+        minus_c3 = np.array([[0, 0, 1], [0, -1, 0], [1, 0, 0]], dtype=complex)
+        expected = np.zeros((7, 7), dtype=complex)
+        expected[:3, :3] = s * np.eye(3)
+        expected[4:, :3] = s * minus_c3
+        assert np.array_equal(eigenbasis(spec).V[:7, :7], expected)
+
+    @pytest.mark.parametrize("m", range(3, 42, 2))
+    def test_unit_columns_follow_the_partition(self, m):
+        # Column n is e_{m+n} when p > q and e_n when q > p; column m+n is the other.
+        spec = OrderSpec.from_order(m)
+        n = spec.n
+        p, q = spec.csd_partition
+        first, second = (m + n, n) if p > q else (n, m + n)
+        v = eigenbasis(spec).V
+        eye = np.eye(2 * m)
+        assert np.array_equal(v[:, n], eye[first]) and np.array_equal(v[:, m + n], eye[second])
+
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_blocks_satisfy_eigen_equations(self, n):
         spec = OrderSpec.from_order(2 * n + 1)
         basis = eigenbasis(spec)
@@ -212,7 +234,7 @@ class TestEvenOrderZ:
 
 
 class TestEvenOrderEigenbasis:
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_unitary_and_diagonalizing(self, n):
         v = eigenbasis(OrderSpec.from_order(2 * n)).V
         assert unitarity_residual(v) < 1e-14
