@@ -4,9 +4,10 @@
 Usage: python scripts/output_digest.py INPUT_DIR OUT.json
 
 On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
-every (order, unit-cosine count) of ``GRID`` plus the ``dirichlet`` and
-``w_identity`` fixtures; later runs reuse whatever INPUT_DIR holds, so two
-commits digest the same inputs.  For each input the script runs ``check``,
+every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
+each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, and the
+``dirichlet`` and ``w_identity`` fixtures; later runs reuse whatever
+INPUT_DIR holds, so two commits digest the same inputs.  For each input the script runs ``check``,
 ``classify`` and ``canon``; it runs ``generate`` at each grid point and
 with each argument list of ``GENERATE_ERRORS``, which must fail with a usage
 error, ``check`` on each malformed file of ``PARSE_ERRORS`` (raw bytes, not
@@ -27,8 +28,16 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
+from bccanon.linalg import haar_unitary
+from bccanon.matio import parse_matrix_file, write_matrix_file
+
 ORDERS = (5, 6, 19, 20, 21, 64, 65)
 GRID = tuple((m, k) for m in ORDERS for k in (None, 0, 2))
+# The grid pairs with this many unit cosines also get a row-mixed copy, so the
+# guard covers the recovery of W from a pair that is not in normalized form.
+MIXED_UNIT_COSINES = 2
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures")
 FORMATS = ("json", "text")
 # generate runs that end in a usage error (exit 2), by name.
@@ -49,6 +58,7 @@ PARSE_ERRORS = {
     "string-cols": b'{"rows": 2, "cols": "2", "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}',
     "bool-and-string-entry": b'{"rows": 2, "cols": 2, "data": [[[true, "0"], [0, 0]], [[0, 0], [1, 0]]]}',
     "not-utf8": b'\xff{"rows": 1, "cols": 1, "data": [[[1, 0]]]}',
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
 }
 # selftest argument lists, by name.
 SELFTESTS = {
@@ -79,6 +89,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_mixed(input_dir, m, source):
+    """Write ``mixed-m{m}``: G (A, B) of the pair in ``source``, G seeded by m with singular values in [0.5, 2]."""
+    rng = np.random.default_rng(m)
+    g = haar_unitary(m, rng) @ np.diag(rng.uniform(0.5, 2.0, m)) @ haar_unitary(m, rng)
+    os.makedirs(os.path.join(input_dir, f"mixed-m{m}"))
+    for side in "AB":
+        matrix = parse_matrix_file(os.path.join(input_dir, source, f"{side}.json"))
+        write_matrix_file(os.path.join(input_dir, f"mixed-m{m}", f"{side}.json"), g @ matrix)
+
+
 def make_inputs(input_dir, grid=GRID):
     """Fill ``input_dir`` with one A.json/B.json directory per input, unless it has them."""
     os.makedirs(input_dir, exist_ok=True)
@@ -88,6 +108,8 @@ def make_inputs(input_dir, grid=GRID):
         result = _cli(_generate_argv(m, k, _name(m, k)), input_dir)
         if result.returncode != 0:
             raise RuntimeError(f"generate {_name(m, k)} failed: {result.stdout!r}")
+        if k == MIXED_UNIT_COSINES:
+            _write_mixed(input_dir, m, _name(m, k))
     for stem in ("dirichlet", "w_identity"):
         os.makedirs(os.path.join(input_dir, stem))
         for side in "AB":

@@ -17,7 +17,6 @@ from .errors import (
     InvalidTarget,
     NotSelfAdjoint,
     NotUnitary,
-    OddSize,
     ParseError,
     PartitionMismatch,
     RankDeficient,
@@ -72,7 +71,6 @@ __all__ = [
     "InvalidTarget",
     "NotSelfAdjoint",
     "NotUnitary",
-    "OddSize",
     "OrderSpec",
     "ParseError",
     "PartitionMismatch",

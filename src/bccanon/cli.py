@@ -35,7 +35,6 @@ from .forms import (
     canonical_decompose,
     check_self_adjoint,
     construct_from_W,
-    even_canonical_decompose,
     generate_random_pair,
 )
 from .linalg import DEFAULT_TOL, Tolerances, row_space_angles
@@ -118,11 +117,10 @@ def _write_factors(out_dir, factors, report: Report) -> None:
 
 
 def _load_form(args):
-    """(pair, canonical form of its parity) for the pair named by ``args``."""
+    """(pair, canonical form of its order) for the pair named by ``args``."""
     tol = _resolve_tolerances(args)
     pair = _load_pair(args.A, args.B)
-    decompose = canonical_decompose if pair.spec.is_odd_order else even_canonical_decompose
-    return pair, decompose(pair, tol)
+    return pair, canonical_decompose(pair, tol)
 
 
 def _cmd_canon(args) -> tuple[Report, int]:

@@ -29,10 +29,6 @@ class UnsupportedOrder(BccanonError):
     """Operation is undefined for the requested matrix order/parity."""
 
 
-class OddSize(BccanonError):
-    """Even-order operation received an odd-sized pair."""
-
-
 class InvalidTarget(BccanonError):
     """Requested seed or unit-cosine count is outside the admissible range."""
 

@@ -10,13 +10,14 @@ with C_m the signed antidiagonal symplectic matrix.  For either parity
 every self-adjoint pair is, up to invertible row operations, of the
 normalized form (I : W) V* for a unique unitary W, where V is the explicit
 eigenbasis of the structure matrix.  The rank of A and B, and with it the
-number k = m - rank A of unit cosines and the class, is read off one corner
-block of W: coupled when k = 0, separated when rank A = n (even order
-only), mixed otherwise.  Feeding W through a CS decomposition yields the
-canonical factorization, (A : B) = (1/sqrt 2) Q1 @ core @ Q2 for odd
-m = 2n+1 and U @ middle @ blockdiag(...) @ Z for even m = 2n, whose sparse
-central block exposes the cosine/sine spectrum.  The CS decomposition runs
-only when a factor is read.
+number k = m - rank A of unit cosines, is read off one corner block of W,
+and the class follows from rank A: coupled when k = 0, separated when
+rank A = n (even order only), mixed otherwise.  One call,
+:func:`canonical_decompose`, serves both orders.  A CS decomposition of W
+yields the pair's canonical factorization, (1/sqrt 2) Q1 @ core @ Q2 for
+odd m = 2n+1 and U @ middle @ blockdiag(...) @ Z for even m = 2n, whose
+sparse central block exposes the cosine/sine spectrum; it runs only when a
+factor is read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .errors import (
     InvalidTarget,
     NotSelfAdjoint,
     NotUnitary,
-    OddSize,
     RankDeficient,
     UnsupportedOrder,
 )
@@ -170,13 +170,8 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     )
 
 
-def construct_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> BoundaryPair:
-    """Normalized self-adjoint pair (V11* + W V12* : V21* + W V22*) = (I : W) V*.
-
-    V is the eigenbasis of either parity (:func:`~bccanon.structure.eigenbasis`).
-    Every unitary W yields a self-adjoint pair, and every self-adjoint pair
-    is row-equivalent to exactly one pair of this form.
-    """
+def _coupling_unitary(w, spec: OrderSpec, tol: Tolerances) -> np.ndarray:
+    """``w`` as a complex matrix; ValueError unless finite and m x m, NotUnitary above ``unitary_abs``."""
     w = as_complex_matrix(w)
     m = spec.m
     if w.shape != (m, m):
@@ -184,6 +179,18 @@ def construct_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> Bound
     residual = unitarity_residual(w)
     if residual > tol.unitary_abs:
         raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
+    return w
+
+
+def construct_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> BoundaryPair:
+    """Normalized self-adjoint pair (V11* + W V12* : V21* + W V22*) = (I : W) V*.
+
+    V is the eigenbasis of either parity (:func:`~bccanon.structure.eigenbasis`).
+    Every unitary W yields a self-adjoint pair, and every self-adjoint pair
+    is row-equivalent to exactly one pair of this form.
+    """
+    w = _coupling_unitary(w, spec, tol)
+    m = spec.m
     v = eigenbasis(spec).V
     a = v[:m, :m].conj().T + w @ v[:m, m:].conj().T
     b = v[m:, :m].conj().T + w @ v[m:, m:].conj().T
@@ -289,20 +296,10 @@ def _corner_blocks(w: np.ndarray, spec: OrderSpec):
     return (q, w[q:, :p]), (p, w[:q, p:])
 
 
-def _decide(w: np.ndarray, spec: OrderSpec, tol: Tolerances):
-    """(rank A, class) of the pair with coupling unitary W, from one corner block.
-
-    k = m - rank A is the number of unit cosines: coupled when k = 0,
-    separated when rank A = n (k = n at even order; odd order always has
-    rank A > n), mixed otherwise.
-    """
+def _decide(w: np.ndarray, spec: OrderSpec, tol: Tolerances) -> int:
+    """rank A of the pair with coupling unitary W, from one corner block."""
     offset, block = _corner_blocks(w, spec)[0]
-    rank = offset + _unit_rank(block, tol)
-    if rank == spec.m:
-        return rank, Classification.COUPLED
-    if rank == spec.n:
-        return rank, Classification.SEPARATED
-    return rank, Classification.MIXED
+    return offset + _unit_rank(block, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +307,8 @@ class _Form:
     """Fields and CS factors shared by both canonical forms.
 
     Holds the recovered W, its left factor P with (A : B) = P (I : W) V*,
-    the tolerances, rank A (= rank B) and the class.  The CS factors ``cs`` of W over ``spec.csd_partition``, and every factor
+    the tolerances and rank A (= rank B), from which the class follows.
+    The CS factors ``cs`` of W over ``spec.csd_partition``, and every factor
     built from them, are derived on first access and then cached; the first
     such read runs the CS decomposition and may raise ConvergenceFailure.
     """
@@ -320,7 +318,15 @@ class _Form:
     P: np.ndarray
     tol: Tolerances
     rank: int
-    classification: Classification
+
+    @property
+    def classification(self) -> Classification:
+        """Coupled when rank A = m, separated when rank A = n (even order only), mixed otherwise."""
+        if self.rank == self.spec.m:
+            return Classification.COUPLED
+        if self.rank == self.spec.n:
+            return Classification.SEPARATED
+        return Classification.MIXED
 
     @cached_property
     def cs(self) -> CsFactors:
@@ -333,13 +339,6 @@ class _Form:
     @property
     def sin(self) -> np.ndarray:
         return self.cs.sin
-
-
-def _decompose(pair: BoundaryPair, tol: Tolerances, form):
-    """Recover W, decide the rank and class from one corner block, wrap in ``form``."""
-    w, p_coef = _recover_coupling(pair, tol)
-    rank, classification = _decide(w, pair.spec, tol)
-    return form(pair.spec, w, p_coef, tol, rank, classification)
 
 
 class CanonicalForm(_Form):
@@ -405,43 +404,6 @@ class CanonicalForm(_Form):
         return (self.Q1 @ self.core @ self.Q2) / np.sqrt(2.0)
 
 
-def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
-    """Canonical factorization of a self-adjoint odd-order pair.
-
-    Recovers the coupling unitary W and decides the rank and classification
-    from the rank A corner block of W.  The CS decomposition of W over
-    ``spec.csd_partition``, (n+1, n) or (n, n+1), and every factor built
-    from it, are left to the returned form to derive when read.
-    """
-    if not pair.spec.is_odd_order:
-        raise UnsupportedOrder("canonical_decompose handles odd order; use even_canonical_decompose")
-    return _decompose(pair, tol, CanonicalForm)
-
-
-def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
-    """Classify an odd-order pair; returns (classification, r).
-
-    r = rank A - (n+1) lies in [0, n]; the pair is coupled exactly when
-    r = n, mixed otherwise.  Fully separated conditions do not exist for
-    odd order, so SEPARATED is never returned here.
-    """
-    form = canonical_decompose(pair, tol)
-    return form.classification, form.r
-
-
-def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
-    """(rank A, rank B) of a pair from the corner blocks of its W.
-
-    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
-    rank B = p + rank W[:q, p:].  At even order p = q = n and both blocks
-    have the sines as singular values, so each rank is n + rank S.  Ranks
-    count singular values above the absolute cutoff ``rank_rel``.  Both
-    canonical decompositions decide with the rank A block.
-    """
-    blocks = _corner_blocks(as_complex_matrix(w), spec)
-    return tuple(offset + _unit_rank(block, tol) for offset, block in blocks)
-
-
 class EvenCanonicalForm(_Form):
     """Even-order canonical factorization (A : B) = U @ middle @ right @ Z.
 
@@ -484,19 +446,51 @@ class EvenCanonicalForm(_Form):
         return self.U @ self.middle @ self.right
 
 
-def even_canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> EvenCanonicalForm:
-    """Canonical factorization for even order m = 2n.
+def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm | EvenCanonicalForm:
+    """Canonical factorization of a self-adjoint pair of either order.
 
-    Shares the recovery and the rank decision with the odd pipeline and
-    uses a balanced CS partition p = q = n.  rank S = rank A - n is the
-    unit rank of W's lower-left n x n block, whose singular values are the
-    sines.  The recovered left coefficient matrix P supplies the exact
-    invertible factor U, so reconstruction matches the input pair itself
-    (not only its row space).
+    Recovers the coupling unitary W and decides rank A, and with it the
+    class, from the rank A corner block of W.  Returns a
+    :class:`CanonicalForm` for odd m = 2n+1, with CS partition (n+1, n) or
+    (n, n+1), and an :class:`EvenCanonicalForm` for even m = 2n, with the
+    balanced partition p = q = n.  The CS decomposition of W and every
+    factor built from it are left to the returned form to derive when read.
     """
-    if pair.spec.is_odd_order:
-        raise OddSize(f"pair has odd size {pair.spec.m}; use canonical_decompose")
-    return _decompose(pair, tol, EvenCanonicalForm)
+    w, p_coef = _recover_coupling(pair, tol)
+    form = CanonicalForm if pair.spec.is_odd_order else EvenCanonicalForm
+    return form(pair.spec, w, p_coef, tol, _decide(w, pair.spec, tol))
+
+
+even_canonical_decompose = canonical_decompose
+
+
+def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
+    """Classify an odd-order pair; returns (classification, r).
+
+    r = rank A - (n+1) lies in [0, n]; the pair is coupled exactly when
+    r = n, mixed otherwise.  Fully separated conditions do not exist for
+    odd order, so SEPARATED is never returned here.  Raises
+    UnsupportedOrder at even order, whose class is
+    ``canonical_decompose(pair).classification``.
+    """
+    if not pair.spec.is_odd_order:
+        raise UnsupportedOrder(f"classify handles odd order, got m = {pair.spec.m}")
+    form = canonical_decompose(pair, tol)
+    return form.classification, form.r
+
+
+def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
+    """(rank A, rank B) of a pair from the corner blocks of its W.
+
+    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
+    rank B = p + rank W[:q, p:].  At even order p = q = n and both blocks
+    have the sines as singular values, so each rank is n + rank S.  Ranks
+    count singular values above the absolute cutoff ``rank_rel``.
+    :func:`canonical_decompose` decides with the rank A block.  W is checked
+    as :func:`construct_from_W` checks it.
+    """
+    blocks = _corner_blocks(_coupling_unitary(w, spec, tol), spec)
+    return tuple(offset + _unit_rank(block, tol) for offset, block in blocks)
 
 
 def generate_random_pair(
@@ -533,8 +527,7 @@ def generate_random_pair(
         u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
         w = cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, cos, sin))
         pair = construct_from_W(w, spec, tol)
-        rank, _ = _decide(recover_W(pair, tol), spec, tol)
-        if spec.m - rank == k:
+        if spec.m - canonical_decompose(pair, tol).rank == k:
             return pair
     raise ConvergenceFailure(
         f"could not realize {target_unit_cosines} unit cosines after 64 attempts"

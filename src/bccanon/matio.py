@@ -197,13 +197,13 @@ def payload_to_matrix(payload) -> np.ndarray:
 
 
 def parse_matrix_file(path) -> np.ndarray:
-    """Read a matrix JSON file; ParseError covers I/O, UTF-8 and JSON failures."""
+    """Read a matrix JSON file; ParseError covers I/O, UTF-8 and JSON failures, too deep nesting included."""
     try:
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8: {exc}") from exc

@@ -18,7 +18,6 @@ from .forms import (
     canonical_decompose,
     check_self_adjoint,
     construct_from_W,
-    even_canonical_decompose,
     generate_random_pair,
     recover_W,
     BoundaryPair,
@@ -185,7 +184,7 @@ def _check_even_order(trials, tol):
         for t in range(trials):
             k = t % (n + 1)
             pair = generate_random_pair(spec, 13000 + 23 * n + t, target_unit_cosines=k, tol=tol)
-            form = even_canonical_decompose(pair, tol)
+            form = canonical_decompose(pair, tol)
             worst_recon = max(worst_recon, float(np.linalg.norm(form.reconstruct() - pair.stacked())))
             expected = (
                 Classification.SEPARATED

@@ -97,6 +97,14 @@ class TestCheck:
         assert result.stderr == ""
         assert f"verdict: error: {bad} is not UTF-8: " in result.stdout
 
+    def test_deep_nesting_exit_two_without_traceback(self, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        result = run_cli("check", str(bad), str(bad))
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert result.stderr == ""
+        assert f"verdict: error: invalid JSON in {bad}: " in result.stdout
+
 
 class TestClassify:
     def test_identity_coupling_fixture(self, fixtures_dir):
@@ -403,7 +411,6 @@ class TestDeferredCsd:
         a, b = (str(fixtures_dir / f"{stem}_{x}.json") for x in "AB")
         with monkeypatch.context() as eager:
             eager.setattr("bccanon.cli.canonical_decompose", self._fail)
-            eager.setattr("bccanon.cli.even_canonical_decompose", self._fail)
             expected, expected_code = run_command(["canon", a, b, "--out", str(tmp_path / "eager")])
         assert (expected.verdict, expected_code) == (f"error: {self.MESSAGE}", 3)
 

@@ -7,7 +7,6 @@ from bccanon import (
     BoundaryPair,
     Classification,
     NotSelfAdjoint,
-    OddSize,
     OrderSpec,
     check_self_adjoint,
     construct_even_from_W,
@@ -127,11 +126,6 @@ class TestEvenPipeline:
 
 
 class TestEvenErrors:
-    def test_odd_pair_rejected(self):
-        pair = BoundaryPair.from_matrices(np.eye(5), np.eye(5))
-        with pytest.raises(OddSize):
-            even_canonical_decompose(pair)
-
     def test_non_self_adjoint_rejected(self):
         pair = BoundaryPair.from_matrices(np.eye(2), np.zeros((2, 2)))
         with pytest.raises(NotSelfAdjoint):

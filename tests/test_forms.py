@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from bccanon import (
     BoundaryPair,
+    CanonicalForm,
     Classification,
+    EvenCanonicalForm,
     NotSelfAdjoint,
     NotUnitary,
     OrderSpec,
@@ -191,10 +193,17 @@ class TestCanonicalDecompose:
         assert form.Q4.shape == (2 * m, 2 * m)
         assert form.K.shape == (n, n + 1)
 
+    @pytest.mark.parametrize("m", range(2, 14))
+    def test_form_follows_the_order(self, m):
+        spec = OrderSpec.from_order(m)
+        form = canonical_decompose(generate_random_pair(spec, m))
+        assert type(form) is (CanonicalForm if spec.is_odd_order else EvenCanonicalForm)
+        assert even_canonical_decompose is canonical_decompose
+
     def test_even_order_unsupported(self):
-        pair = BoundaryPair.from_matrices(np.eye(4), np.eye(4))
+        # canonical_decompose serves both orders; classify's (class, r) contract stays odd-only.
         with pytest.raises(UnsupportedOrder):
-            canonical_decompose(pair)
+            classify(BoundaryPair.from_matrices(np.eye(4), np.eye(4)))
 
     def test_decisions_do_not_build_q4(self, monkeypatch):
         def refuse(*args):
@@ -207,14 +216,13 @@ class TestCanonicalDecompose:
             n = spec.n
             for k in range(n + 1):
                 pair = generate_random_pair(spec, 3, target_unit_cosines=k)
+                form = canonical_decompose(pair)
                 if spec.is_odd_order:
-                    form = canonical_decompose(pair)
                     assert (form.null_count, form.predicted_rank_A, form.predicted_rank_B) == (k, m - k, m - k)
                     expected = Classification.COUPLED if k == 0 else Classification.MIXED
                     assert classify(pair) == (expected, n - k)
                     factors = ("cs", "Q1", "core", "Q4", "Q3", "Q2", "K")
                 else:
-                    form = even_canonical_decompose(pair)
                     assert form.rank_S == n - k
                     expected = (Classification.SEPARATED if k == n
                                 else Classification.COUPLED if k == 0 else Classification.MIXED)
@@ -252,11 +260,10 @@ class TestPredictedRanks:
     def test_agrees_with_svd_ranks(self, m):
         # Every layout of the corner blocks: even order, odd order with odd n and with even n.
         spec = OrderSpec.from_order(m)
-        decompose = canonical_decompose if spec.is_odd_order else even_canonical_decompose
         for t in range(max(8, spec.n + 1)):
             k = t % (spec.n + 1)
             pair = generate_random_pair(spec, 7100 + t, target_unit_cosines=k)
-            form = decompose(pair)
+            form = canonical_decompose(pair)
             ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
             assert ranks == (m - k, m - k) == (form.rank, form.rank)
             assert coupling_block_ranks(form.W, spec) == ranks
@@ -276,6 +283,15 @@ class TestPredictedRanks:
             mixed = BoundaryPair(A=g @ unit.A, B=g @ unit.B, spec=spec)
             for form in (canonical_decompose(pair), canonical_decompose(mixed)):
                 assert coupling_block_ranks(form.W, spec) == (form.predicted_rank_A, form.predicted_rank_B)
+
+    @pytest.mark.parametrize("size", [4, 9])
+    def test_block_ranks_reject_a_wrong_shape(self, size):
+        with pytest.raises(ValueError, match=f"W must be 5 x 5, got \\({size}, {size}\\)"):
+            coupling_block_ranks(np.eye(size), SPEC5)
+
+    def test_block_ranks_reject_a_non_unitary_w(self):
+        with pytest.raises(NotUnitary):
+            coupling_block_ranks(np.ones((5, 5)), SPEC5)
 
 
 class TestClassify:
@@ -376,10 +392,6 @@ class TestFromMatricesErrors:
         assert np.array_equal(pair.A, np.eye(3))
 
 
-def _decompose(pair):
-    return (canonical_decompose if pair.spec.is_odd_order else even_canonical_decompose)(pair)
-
-
 class TestMeasuredOnce:
     """A pair measures the criterion's numbers once; every verdict applies its own tolerance."""
 
@@ -421,8 +433,8 @@ class TestMeasuredOnce:
         a, b = g @ normalized.A, g @ normalized.B
         checked = BoundaryPair(A=a, B=b, spec=spec)
         report = check_self_adjoint(checked)
-        form = _decompose(checked)
-        fresh = _decompose(BoundaryPair(A=a, B=b, spec=spec))
+        form = canonical_decompose(checked)
+        fresh = canonical_decompose(BoundaryPair(A=a, B=b, spec=spec))
         assert report == check_self_adjoint(BoundaryPair(A=a, B=b, spec=spec))
         assert form.W.tobytes() == fresh.W.tobytes()
         assert form.classification is fresh.classification
@@ -436,7 +448,7 @@ class TestMeasuredOnce:
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_cs_core_is_built_once_and_read_only(self, monkeypatch, m):
-        form = _decompose(generate_random_pair(OrderSpec.from_order(m), 3))
+        form = canonical_decompose(generate_random_pair(OrderSpec.from_order(m), 3))
         cs = form.cs
         calls = []
         build = csd.cs_core
@@ -464,7 +476,7 @@ class TestMeasuredOnce:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         check_self_adjoint(pair)
-        _decompose(pair)
+        canonical_decompose(pair)
         # (A : B), A and B for the check; the two coefficient matrices and one corner block for W.
         assert len(calls) == 6, calls
 
@@ -483,7 +495,7 @@ class TestMeasuredOnce:
         assert len(calls) == 3, calls
         assert check_self_adjoint(pair) == first
         assert len(calls) == 3, calls
-        _decompose(pair)
+        canonical_decompose(pair)
         assert len(calls) == 6, calls
 
     def test_stacked_is_one_read_only_array(self):

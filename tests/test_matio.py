@@ -237,6 +237,16 @@ class TestMatrixFiles:
             parse_matrix_file(path)
         assert str(excinfo.value).startswith(f"{path} is not UTF-8: ")
 
+    @pytest.mark.parametrize(
+        "prefix, suffix", [(b"", b""), (b'{"rows": 1, "cols": 1, "data": ', b"}")], ids=["top-level", "under-data"]
+    )
+    def test_deep_nesting_is_parse_error(self, tmp_path, prefix, suffix):
+        path = tmp_path / "deep.json"
+        path.write_bytes(prefix + b"[" * 200_000 + b"]" * 200_000 + suffix)
+        with pytest.raises(ParseError) as excinfo:
+            parse_matrix_file(path)
+        assert str(excinfo.value).startswith(f"invalid JSON in {path}: ")
+
     def test_fixture_c5(self, fixtures_dir):
         from bccanon import symplectic_matrix
 

@@ -4,6 +4,10 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
+
+from bccanon.matio import parse_matrix_file
+
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
 
@@ -24,30 +28,37 @@ def test_rank_attainment_survey_runs(capsys):
 def test_output_digest_smoke(tmp_path):
     script = load_script("output_digest")
     inputs = tmp_path / "inputs"
-    runs = script.digest(str(inputs), grid=((5, None),))
-    assert sorted(p.name for p in inputs.iterdir()) == ["dirichlet", "m5-knone", "w_identity"]
-    expected = {f"generate {g} {fmt}" for g in ("m5-knone", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
+    runs = script.digest(str(inputs), grid=((5, 2),))
+    assert sorted(p.name for p in inputs.iterdir()) == ["dirichlet", "m5-k2", "mixed-m5", "w_identity"]
+    expected = {f"generate {g} {fmt}" for g in ("m5-k2", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
-                 for i in ("dirichlet", "m5-knone", "w_identity") for fmt in ("json", "text")}
+                 for i in ("dirichlet", "m5-k2", "mixed-m5", "w_identity") for fmt in ("json", "text")}
     expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     expected |= {f"selftest {s} {fmt}" for s in script.SELFTESTS for fmt in ("json", "text")}
     assert set(runs) == expected
-    assert {"check not-utf8 json", "check not-utf8 text"} <= expected
+    assert {"check not-utf8 json", "check not-utf8 text", "check deep-nesting json"} <= expected
     errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
     errors |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in errors)
     assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for name, run in runs.items() if name not in errors)
-    assert set(runs["generate m5-knone json"]["files"]) == {"A.json", "B.json"}
-    assert {"Q1.json", "manifest.json"} <= set(runs["canon m5-knone text"]["files"])
+    assert set(runs["generate m5-k2 json"]["files"]) == {"A.json", "B.json"}
+    assert {"Q1.json", "manifest.json"} <= set(runs["canon m5-k2 text"]["files"])
     assert {"U.json", "manifest.json"} <= set(runs["canon dirichlet json"]["files"])
-    assert runs["check m5-knone json"]["files"] == {}
+    assert runs["check m5-k2 json"]["files"] == {}
+    # The row-mixed copy is G (A : B) of the generated pair, G with singular values in [0.5, 2].
+    ab, mixed = (np.hstack([parse_matrix_file(str(inputs / d / f"{x}.json")) for x in "AB"])
+                 for d in ("m5-k2", "mixed-m5"))
+    g = mixed @ np.linalg.pinv(ab)
+    assert np.linalg.norm(g @ ab - mixed) < 1e-12
+    sigma = np.linalg.svd(g, compute_uv=False)
+    assert 0.5 <= sigma.min() and sigma.max() <= 2.0
     # The generated input is the pair the digest's own generate run wrote.
-    a_sha = script._sha((inputs / "m5-knone" / "A.json").read_bytes())
-    assert runs["generate m5-knone text"]["files"]["A.json"] == a_sha
+    a_sha = script._sha((inputs / "m5-k2" / "A.json").read_bytes())
+    assert runs["generate m5-k2 text"]["files"]["A.json"] == a_sha
     # A second run reuses the inputs and reads the same bytes.
-    (inputs / "m5-knone" / "B.json").write_bytes((inputs / "dirichlet" / "B.json").read_bytes())
-    script.make_inputs(str(inputs), grid=((5, None),))
-    assert (inputs / "m5-knone" / "B.json").read_bytes() == (inputs / "dirichlet" / "B.json").read_bytes()
+    (inputs / "m5-k2" / "B.json").write_bytes((inputs / "dirichlet" / "B.json").read_bytes())
+    script.make_inputs(str(inputs), grid=((5, 2),))
+    assert (inputs / "m5-k2" / "B.json").read_bytes() == (inputs / "dirichlet" / "B.json").read_bytes()
 
 
 def _write_results(directory, pair_ms, failed, trace=0):

@@ -11,7 +11,6 @@ from bccanon import (
     canonical_decompose,
     check_self_adjoint,
     eigenbasis,
-    even_canonical_decompose,
     even_order_Z,
     generate_random_pair,
     q4_matrix,
@@ -276,7 +275,7 @@ class TestCachedPerOrder:
             for source in pairs:
                 pair = BoundaryPair.from_matrices(source.A, source.B)
                 check_self_adjoint(pair)
-                (canonical_decompose if pair.spec.is_odd_order else even_canonical_decompose)(pair)
+                canonical_decompose(pair)
         info = eigenbasis.cache_info()
         assert info.misses == len(orders)
         assert info.hits == 4 * len(orders) - len(orders)
