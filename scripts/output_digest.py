@@ -7,14 +7,15 @@ On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
 each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, and the
 ``dirichlet`` and ``w_identity`` fixtures; later runs reuse whatever
-INPUT_DIR holds, so two commits digest the same inputs.  For each input the script runs ``check``,
-``classify`` and ``canon``; it runs ``generate`` at each grid point and
-with each argument list of ``GENERATE_ERRORS``, which must fail with a usage
-error, ``check`` on each malformed file of ``PARSE_ERRORS`` (raw bytes, not
-all of them UTF-8), which must fail with an input error, and ``selftest``
-with each argument list of ``SELFTESTS``.  Every run is made in
-``--format json`` and ``text``.  OUT.json maps each run to its exit code,
-the SHA-256 of its stdout and the SHA-256 of every file it wrote.
+INPUT_DIR holds, so two commits digest the same inputs.  For each input the
+script runs ``check``, ``classify`` and ``canon``; it runs ``generate`` at
+each grid point and with each argument list of ``GENERATE_ERRORS``, which
+must fail with a usage error, ``check`` on each malformed file of
+``PARSE_ERRORS`` (raw bytes, not all of them UTF-8), which must fail with an
+input error, and ``selftest`` with each argument list of ``SELFTESTS``.
+Every run is made in ``--format json`` and ``text``.  OUT.json maps each run
+to its exit code, the SHA-256 of its stdout and the SHA-256 of every file it
+wrote.
 
 The CLI runs as ``python -m bccanon.cli`` in a subprocess, so PYTHONPATH
 picks the commit under test; see the README for a two-commit comparison.
