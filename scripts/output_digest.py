@@ -8,7 +8,8 @@ every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
 each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, and the
 ``dirichlet`` and ``w_identity`` fixtures; later runs reuse whatever
 INPUT_DIR holds, so two commits digest the same inputs.  For each input the
-script runs ``check``, ``classify`` and ``canon``; it runs ``generate`` at
+script runs ``check``, ``classify`` and ``canon``, on each mixed copy also
+with ``--tol TIGHT_TOL``, which fails some of them; it runs ``generate`` at
 each grid point and with each argument list of ``GENERATE_ERRORS``, which
 must fail with a usage error, ``check`` on each malformed file of
 ``PARSE_ERRORS`` (raw bytes, not all of them UTF-8), which must fail with an
@@ -46,6 +47,7 @@ GENERATE_ERRORS = {
     "order-1": ["--order", "1", "--seed", "1"],
     "target-out-of-range": ["--order", "5", "--seed", "1", "--unit-cosines", "9"],
     "negative-seed": ["--order", "5", "--seed", "-1"],
+    "huge-order": ["--order", "100000000", "--seed", "1"],
 }
 # Malformed matrix files that check must reject with an input error (exit 2), by name.
 PARSE_ERRORS = {
@@ -65,7 +67,10 @@ PARSE_ERRORS = {
 SELFTESTS = {
     "default": [],
     "orders-3,4,5-trials-3": ["--orders", "3,4,5", "--trials", "3"],
+    "orders-3,4,5-trials-3-tol-1e-14": ["--orders", "3,4,5", "--trials", "3", "--tol", "1e-14"],
 }
+# A Gram residual bound that the mixed copies straddle: some pass it, some do not.
+TIGHT_TOL = "1e-14"
 
 
 def _generate_argv(m, k, out):
@@ -156,12 +161,15 @@ def digest(input_dir, grid=GRID):
                 runs[f"selftest {name} {fmt}"] = _record(result, os.path.join(scratch, f"selftest-{name}-{fmt}"))
         for name in sorted(os.listdir(input_dir)):
             pair = [os.path.join(name, "A.json"), os.path.join(name, "B.json")]
+            tols = ([], ["--tol", TIGHT_TOL]) if name.startswith("mixed-") else ([],)
             for command in ("check", "classify", "canon"):
-                for fmt in FORMATS:
-                    out_dir = os.path.join(scratch, f"{command}-{name}-{fmt}")
-                    extra = ["--out", out_dir] if command == "canon" else []
-                    result = _cli([command, *pair, *extra, "--format", fmt], input_dir)
-                    runs[f"{command} {name} {fmt}"] = _record(result, out_dir)
+                for tol in tols:
+                    label = " ".join([name, *tol])
+                    for fmt in FORMATS:
+                        out_dir = os.path.join(scratch, f"{command}-{label}-{fmt}".replace(" ", "_"))
+                        extra = ["--out", out_dir] if command == "canon" else []
+                        result = _cli([command, *pair, *extra, *tol, "--format", fmt], input_dir)
+                        runs[f"{command} {label} {fmt}"] = _record(result, out_dir)
     return runs
 
 

@@ -8,9 +8,10 @@ Subcommands
     selftest  run the seeded invariant suite
 
 Exit codes: 0 success, 1 criterion-failure verdict, 2 input/usage error
-(an --out that cannot be created included), 3 numerical failure.
-BC_CANON_TOL overrides residual_abs, the bound on the Gram residual of the
-self-adjointness check; the --tol flag wins over the environment.
+(an --out that cannot be created or an order too large to allocate
+included), 3 numerical failure.  BC_CANON_TOL overrides residual_abs, the
+one settable tolerance (the bound on the Gram residual of the
+self-adjointness check); the --tol flag wins over the environment.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _cmd_canon(args) -> tuple[Report, int]:
     spec = pair.spec
     metrics = {"m": spec.m, "n": spec.n}
     if spec.is_odd_order:
-        normalized = construct_from_W(form.W, spec, form.tol)
+        normalized = construct_from_W(form.W, spec)
         product = form.reconstruct()
         metrics["reconstruction_residual"] = float(np.linalg.norm(product - normalized.stacked()))
         metrics["row_space_angle_max"] = float(np.max(row_space_angles(product, pair.stacked())))
@@ -270,7 +271,7 @@ def _run(argv) -> tuple[Report, int, str]:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_USAGE, fmt
     except _NUMERICAL_ERRORS as exc:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_NUMERICAL, fmt
-    except (BccanonError, OSError) as exc:
+    except (BccanonError, OSError, MemoryError) as exc:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_USAGE, fmt
     return report, code, fmt
 

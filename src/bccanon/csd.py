@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotUnitary, PartitionMismatch
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, block_diag, unitarity_residual
+from .errors import ConvergenceFailure, PartitionMismatch
+from .linalg import as_complex_matrix, block_diag, require_unitary
 
 __all__ = ["CsFactors", "cs_core", "cs_decompose", "cs_reconstruct"]
 
@@ -156,11 +156,11 @@ def _two_svd_factors(w: np.ndarray, p: int, q: int):
     return u1, u2, v1, v2, cos, sin
 
 
-def cs_decompose(w, p: int, q: int, tol: Tolerances = DEFAULT_TOL) -> CsFactors:
+def cs_decompose(w, p: int, q: int) -> CsFactors:
     """Decompose a unitary W over the symmetric block partition (p, q).
 
     Raises PartitionMismatch when p + q does not match W or |p - q| > 1,
-    NotUnitary when W fails the unitarity residual check and
+    NotUnitary when W's unitarity residual exceeds ``UNITARY_ABS`` and
     ConvergenceFailure when an SVD does not converge.
     """
     w = as_complex_matrix(w)
@@ -168,9 +168,7 @@ def cs_decompose(w, p: int, q: int, tol: Tolerances = DEFAULT_TOL) -> CsFactors:
         raise PartitionMismatch(f"partition ({p}, {q}) does not fit a {w.shape} matrix")
     if abs(p - q) > 1:
         raise PartitionMismatch(f"|p - q| must be at most 1, got ({p}, {q})")
-    residual = unitarity_residual(w)
-    if residual > tol.unitary_abs:
-        raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
+    require_unitary(w)
 
     k = min(p, q)
     if not (w[:p, p:].any() or w[p:, :p].any()):

@@ -33,7 +33,6 @@ from .errors import (
     ConvergenceFailure,
     InvalidTarget,
     NotSelfAdjoint,
-    NotUnitary,
     RankDeficient,
     UnsupportedOrder,
 )
@@ -44,7 +43,8 @@ from .linalg import (
     block_diag,
     haar_unitary,
     relative_rank,
-    unitarity_residual,
+    require_unitary,
+    unit_rank,
 )
 from .structure import (
     OrderSpec,
@@ -152,7 +152,7 @@ class SelfAdjointReport:
 def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
     """(rank (A : B), rank ok, Gram residual, Gram ok): ``tol`` applied to the pair's cached numbers."""
     gram_residual, sigma_ab = pair._criterion_numbers
-    rank_ab = relative_rank(sigma_ab, tol)
+    rank_ab = relative_rank(sigma_ab)
     return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
 
 
@@ -165,31 +165,30 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     sigma_a, sigma_b = pair._block_singular_values
     return SelfAdjointReport(
         *_self_adjoint_criterion(pair, tol),
-        rank_A=relative_rank(sigma_a, tol),
-        rank_B=relative_rank(sigma_b, tol),
+        rank_A=relative_rank(sigma_a),
+        rank_B=relative_rank(sigma_b),
     )
 
 
-def _coupling_unitary(w, spec: OrderSpec, tol: Tolerances) -> np.ndarray:
-    """``w`` as a complex matrix; ValueError unless finite and m x m, NotUnitary above ``unitary_abs``."""
+def _coupling_unitary(w, spec: OrderSpec) -> np.ndarray:
+    """``w`` as a complex matrix; ValueError unless finite and m x m, NotUnitary above ``UNITARY_ABS``."""
     w = as_complex_matrix(w)
     m = spec.m
     if w.shape != (m, m):
         raise ValueError(f"W must be {m} x {m}, got {w.shape}")
-    residual = unitarity_residual(w)
-    if residual > tol.unitary_abs:
-        raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {tol.unitary_abs:.3e}")
+    require_unitary(w)
     return w
 
 
-def construct_from_W(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL) -> BoundaryPair:
+def construct_from_W(w, spec: OrderSpec) -> BoundaryPair:
     """Normalized self-adjoint pair (V11* + W V12* : V21* + W V22*) = (I : W) V*.
 
     V is the eigenbasis of either parity (:func:`~bccanon.structure.eigenbasis`).
     Every unitary W yields a self-adjoint pair, and every self-adjoint pair
-    is row-equivalent to exactly one pair of this form.
+    is row-equivalent to exactly one pair of this form.  Raises NotUnitary
+    when W's unitarity residual exceeds ``UNITARY_ABS``.
     """
-    w = _coupling_unitary(w, spec, tol)
+    w = _coupling_unitary(w, spec)
     m = spec.m
     v = eigenbasis(spec).V
     a = v[:m, :m].conj().T + w @ v[:m, m:].conj().T
@@ -222,7 +221,7 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     r_coef = ab @ basis[:, m:]
     up, sp, vph = np.linalg.svd(p_coef)
     ur, _, vrh = np.linalg.svd(r_coef)
-    if sp[-1] <= tol.rank_rel * sp[0]:
+    if relative_rank(sp) < m:
         raise RankDeficient("eigenspace coefficient matrix is numerically singular")
     w = vph.conj().T @ (up.conj().T @ ur) @ vrh
     return w, p_coef
@@ -280,26 +279,16 @@ def _k_matrix(cs: CsFactors) -> np.ndarray:
     return (cs.u1, cs.u2)[big][rest, :] @ cs.core[block, block]
 
 
-def _unit_rank(block: np.ndarray, tol: Tolerances) -> int:
-    """Number of singular values of ``block`` above ``rank_rel``.
-
-    Blocks of a unitary have singular values of unit natural scale (the
-    sines among them), so the cutoff is absolute; a relative one would
-    count roundoff as rank when a block should be zero.
-    """
-    return int(np.count_nonzero(np.linalg.svd(block, compute_uv=False) > tol.rank_rel))
-
-
 def _corner_blocks(w: np.ndarray, spec: OrderSpec):
     """((offset, block) for rank A, (offset, block) for rank B); see :func:`coupling_block_ranks`."""
     p, q = spec.csd_partition
     return (q, w[q:, :p]), (p, w[:q, p:])
 
 
-def _decide(w: np.ndarray, spec: OrderSpec, tol: Tolerances) -> int:
+def _decide(w: np.ndarray, spec: OrderSpec) -> int:
     """rank A of the pair with coupling unitary W, from one corner block."""
     offset, block = _corner_blocks(w, spec)[0]
-    return offset + _unit_rank(block, tol)
+    return offset + unit_rank(block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,7 +296,7 @@ class _Form:
     """Fields and CS factors shared by both canonical forms.
 
     Holds the recovered W, its left factor P with (A : B) = P (I : W) V*,
-    the tolerances and rank A (= rank B), from which the class follows.
+    and rank A (= rank B), from which the class follows.
     The CS factors ``cs`` of W over ``spec.csd_partition``, and every factor
     built from them, are derived on first access and then cached; the first
     such read runs the CS decomposition and may raise ConvergenceFailure.
@@ -316,7 +305,6 @@ class _Form:
     spec: OrderSpec
     W: np.ndarray
     P: np.ndarray
-    tol: Tolerances
     rank: int
 
     @property
@@ -330,7 +318,7 @@ class _Form:
 
     @cached_property
     def cs(self) -> CsFactors:
-        return cs_decompose(self.W, *self.spec.csd_partition, self.tol)
+        return cs_decompose(self.W, *self.spec.csd_partition)
 
     @property
     def cos(self) -> np.ndarray:
@@ -458,7 +446,7 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     """
     w, p_coef = _recover_coupling(pair, tol)
     form = CanonicalForm if pair.spec.is_odd_order else EvenCanonicalForm
-    return form(pair.spec, w, p_coef, tol, _decide(w, pair.spec, tol))
+    return form(pair.spec, w, p_coef, _decide(w, pair.spec))
 
 
 even_canonical_decompose = canonical_decompose
@@ -479,18 +467,18 @@ def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
     return form.classification, form.r
 
 
-def coupling_block_ranks(w, spec: OrderSpec, tol: Tolerances = DEFAULT_TOL):
+def coupling_block_ranks(w, spec: OrderSpec):
     """(rank A, rank B) of a pair from the corner blocks of its W.
 
     With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
     rank B = p + rank W[:q, p:].  At even order p = q = n and both blocks
     have the sines as singular values, so each rank is n + rank S.  Ranks
-    count singular values above the absolute cutoff ``rank_rel``.
+    count singular values above the absolute cutoff ``RANK_REL``.
     :func:`canonical_decompose` decides with the rank A block.  W is checked
     as :func:`construct_from_W` checks it.
     """
-    blocks = _corner_blocks(_coupling_unitary(w, spec, tol), spec)
-    return tuple(offset + _unit_rank(block, tol) for offset, block in blocks)
+    blocks = _corner_blocks(_coupling_unitary(w, spec), spec)
+    return tuple(offset + unit_rank(block) for offset, block in blocks)
 
 
 def generate_random_pair(
@@ -519,14 +507,14 @@ def generate_random_pair(
     for attempt in range(64):
         rng = np.random.default_rng([seed, attempt])
         if target_unit_cosines is None:
-            return construct_from_W(haar_unitary(spec.m, rng), spec, tol)
+            return construct_from_W(haar_unitary(spec.m, rng), spec)
         k = target_unit_cosines
         cos = np.sort(np.concatenate([np.ones(k), rng.uniform(1e-3, 1.0 - 1e-3, n - k)]))[::-1]
         sin = np.sqrt(1.0 - cos**2)
         p, q = spec.csd_partition
         u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
         w = cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, cos, sin))
-        pair = construct_from_W(w, spec, tol)
+        pair = construct_from_W(w, spec)
         if spec.m - canonical_decompose(pair, tol).rank == k:
             return pair
     raise ConvergenceFailure(

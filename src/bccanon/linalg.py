@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernels shared by the whole library.
 
 Everything operates on plain ``numpy`` arrays of dtype complex128.  The
-functions here add the contracts the rest of the library relies on
-(a unitarity residual, a fixed numerical-rank rule, seeded Haar
+functions here add the contracts the rest of the library relies on (the
+fixed rank and unitarity cutoffs and the rules that read them, seeded Haar
 sampling); the heavy lifting is delegated to LAPACK via numpy.
 """
 
@@ -12,41 +12,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NotUnitary
+
 __all__ = [
+    "RANK_REL",
+    "UNITARY_ABS",
     "Tolerances",
     "DEFAULT_TOL",
     "as_complex_matrix",
     "block_diag",
     "unitarity_residual",
+    "require_unitary",
     "numerical_rank",
     "relative_rank",
+    "unit_rank",
     "random_unitary",
     "haar_unitary",
     "row_space_angles",
 ]
 
 
+# Singular-value cutoff for numerical rank: relative to sigma_max for A, B and
+# (A : B), absolute for quantities of unit scale (sines, blocks of a unitary).
+RANK_REL = 1e-10
+UNITARY_ABS = 1e-10  # max absolute deviation of U*U from the identity
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used throughout the library.
+    """The one settable threshold; the rank and unitarity cutoffs are RANK_REL and UNITARY_ABS.
 
-    rank_rel      singular-value cutoff for numerical rank: relative to
-                  sigma_max for A, B and (A : B), absolute for quantities
-                  of unit scale (sines, blocks of a unitary)
-    unitary_abs   max absolute deviation of U*U from the identity
     residual_abs  max Frobenius norm of A C A* - B C B* in the
                   self-adjointness check
     """
 
-    rank_rel: float = 1e-10
-    unitary_abs: float = 1e-10
     residual_abs: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank_rel", "unitary_abs", "residual_abs"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        if not (0.0 < self.residual_abs < 1.0):
+            raise ValueError(f"residual_abs must lie strictly between 0 and 1, got {self.residual_abs!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -84,19 +88,36 @@ def unitarity_residual(u) -> float:
     return float(np.max(np.abs(gram - np.eye(u.shape[0]))))
 
 
-def relative_rank(sigma: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of descending singular values above ``rank_rel * sigma_max``; 0 when all vanish."""
+def require_unitary(u) -> None:
+    """Raise NotUnitary when the unitarity residual of ``u`` exceeds ``UNITARY_ABS``."""
+    residual = unitarity_residual(u)
+    if residual > UNITARY_ABS:
+        raise NotUnitary(f"unitarity residual {residual:.3e} exceeds {UNITARY_ABS:.3e}")
+
+
+def relative_rank(sigma: np.ndarray) -> int:
+    """Number of descending singular values above ``RANK_REL * sigma_max``; 0 when all vanish."""
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > tol.rank_rel * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_REL * sigma[0]))
 
 
-def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_rel * sigma_max``; 0 for the zero matrix."""
+def unit_rank(block: np.ndarray) -> int:
+    """Number of singular values of ``block`` above ``RANK_REL``.
+
+    Blocks of a unitary have singular values of unit natural scale (the
+    sines among them), so the cutoff is absolute; a relative one would
+    count roundoff as rank when a block should be zero.
+    """
+    return int(np.count_nonzero(np.linalg.svd(block, compute_uv=False) > RANK_REL))
+
+
+def numerical_rank(m) -> int:
+    """Number of singular values above ``RANK_REL * sigma_max``; 0 for the zero matrix."""
     m = as_complex_matrix(m)
     if m.size == 0:
         return 0
-    return relative_rank(np.linalg.svd(m, compute_uv=False), tol)
+    return relative_rank(np.linalg.svd(m, compute_uv=False))
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

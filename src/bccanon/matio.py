@@ -26,7 +26,6 @@ from .errors import DimensionMismatch, ParseError
 from .linalg import as_complex_matrix
 
 __all__ = [
-    "matrix_to_payload",
     "payload_to_matrix",
     "parse_matrix_file",
     "write_matrix_file",
@@ -99,19 +98,6 @@ def _emit(obj) -> str:
 def dumps_deterministic(obj) -> str:
     """JSON text with sorted keys and 17-significant-digit floats."""
     return _emit(obj) + "\n"
-
-
-def _pairs(m) -> np.ndarray:
-    """rows x cols x 2 array of the [re, im] floats of a matrix."""
-    m = as_complex_matrix(m)
-    return np.stack([m.real, m.imag], -1)
-
-
-def matrix_to_payload(m) -> dict:
-    """Matrix as a JSON-ready dict of [re, im] pairs."""
-    pairs = _pairs(m)
-    rows, cols, _ = pairs.shape
-    return {"rows": rows, "cols": cols, "data": pairs.tolist()}
 
 
 # The Python types json.load gives JSON numbers; bool is not among them.
@@ -215,7 +201,8 @@ def write_matrix_file(path, m) -> str:
 
     The file holds that text plus a newline.
     """
-    text = _Json(_render_matrix(_pairs(m)))
+    m = as_complex_matrix(m)
+    text = _Json(_render_matrix(np.stack([m.real, m.imag], -1)))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
     return text

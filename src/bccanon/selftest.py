@@ -22,7 +22,6 @@ from .forms import (
     recover_W,
     BoundaryPair,
     _odd_layout,
-    _unit_rank,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -31,6 +30,7 @@ from .linalg import (
     numerical_rank,
     random_unitary,
     row_space_angles,
+    unit_rank,
     unitarity_residual,
 )
 from .structure import OrderSpec
@@ -57,7 +57,7 @@ def _random_conditioned(m: int, rng: np.random.Generator) -> np.ndarray:
     return u @ np.diag(rng.uniform(0.2, 2.0, m)).astype(complex) @ v
 
 
-def _check_csd_round_trip(orders, trials, tol):
+def _check_csd_round_trip(orders, trials):
     worst_recon = worst_unit = worst_pyth = worst_cos = 0.0
     rng = np.random.default_rng(1914)
     for m in orders:
@@ -68,7 +68,7 @@ def _check_csd_round_trip(orders, trials, tol):
             p, q = partition
             for _ in range(trials):
                 w = haar_unitary(m, rng)
-                f = cs_decompose(w, p, q, tol)
+                f = cs_decompose(w, p, q)
                 worst_recon = max(worst_recon, float(np.linalg.norm(cs_reconstruct(f) - w)))
                 for corner in (f.u1, f.u2, f.v1, f.v2):
                     worst_unit = max(worst_unit, unitarity_residual(corner))
@@ -88,7 +88,7 @@ def _check_self_adjoint_closure(orders, trials, tol):
     ok = True
     for spec in _odd_specs(orders):
         for t in range(trials):
-            pair = construct_from_W(random_unitary(spec.m, 7000 + 13 * spec.m + t), spec, tol)
+            pair = construct_from_W(random_unitary(spec.m, 7000 + 13 * spec.m + t), spec)
             report = check_self_adjoint(pair, tol)
             ok = ok and report.ok
             worst = max(worst, report.gram_residual)
@@ -101,7 +101,7 @@ def _check_recover_round_trip(orders, trials, tol):
     for spec in _odd_specs(orders):
         for t in range(trials):
             w0 = haar_unitary(spec.m, rng)
-            pair = construct_from_W(w0, spec, tol)
+            pair = construct_from_W(w0, spec)
             worst_rt = max(worst_rt, float(np.linalg.norm(recover_W(pair, tol) - w0)))
             g = _random_conditioned(spec.m, rng)
             moved = BoundaryPair(A=g @ pair.A, B=g @ pair.B, spec=spec)
@@ -112,11 +112,11 @@ def _check_recover_round_trip(orders, trials, tol):
     ]
 
 
-def _m_route_rank(form, tol) -> int:
+def _m_route_rank(form) -> int:
     """rank A as 2n+1 - (n - rank M), with M M* = I - K K* and M = U_big[rest, rest] diag(sin)."""
     big, _, rest, _ = _odd_layout(form.cs)
     m = (form.cs.u1, form.cs.u2)[big][rest, rest] * form.cs.sin
-    return form.spec.m - len(form.cs.sin) + _unit_rank(m, tol)
+    return form.spec.m - len(form.cs.sin) + unit_rank(m)
 
 
 def _check_rank_agreement(orders, trials, tol):
@@ -126,14 +126,14 @@ def _check_rank_agreement(orders, trials, tol):
         for t in range(trials):
             k = t % (n + 1)
             pair = generate_random_pair(spec, 9000 + 17 * spec.m + t, target_unit_cosines=k, tol=tol)
-            rank_a = numerical_rank(pair.A, tol)
-            rank_b = numerical_rank(pair.B, tol)
+            rank_a = numerical_rank(pair.A)
+            rank_b = numerical_rank(pair.B)
             form = canonical_decompose(pair, tol)
             pa, pb = form.predicted_rank_A, form.predicted_rank_B
             equal = equal and rank_a == rank_b
             bounds = bounds and (n + 1 <= rank_a <= 2 * n + 1)
             blocks = blocks and pa == rank_a and pb == rank_b and rank_a == spec.m - k
-            m_route = m_route and _m_route_rank(form, tol) == rank_a
+            m_route = m_route and _m_route_rank(form) == rank_a
     return [
         CheckResult("rank_equality", equal, 0.0, "rank A == rank B"),
         CheckResult("rank_bounds", bounds, 0.0, "n+1 <= rank A <= 2n+1"),
@@ -147,12 +147,12 @@ def _check_canonical_reconstruction(orders, trials, tol):
     rng = np.random.default_rng(3141)
     for spec in _odd_specs(orders):
         for t in range(trials):
-            pair = construct_from_W(haar_unitary(spec.m, rng), spec, tol)
+            pair = construct_from_W(haar_unitary(spec.m, rng), spec)
             g = _random_conditioned(spec.m, rng)
             moved = BoundaryPair(A=g @ pair.A, B=g @ pair.B, spec=spec)
             form = canonical_decompose(moved, tol)
             product = form.reconstruct()
-            normalized = construct_from_W(form.W, spec, tol)
+            normalized = construct_from_W(form.W, spec)
             worst_eq = max(worst_eq, float(np.linalg.norm(product - normalized.stacked())))
             worst_angle = max(worst_angle, float(np.max(row_space_angles(product, moved.stacked()))))
     return [
@@ -210,7 +210,7 @@ def _check_even_order(trials, tol):
 def run_selftest(orders=(3, 5, 7, 9), trials: int = 20, tol: Tolerances = DEFAULT_TOL):
     """Run every invariant check; returns a list of CheckResult."""
     results = []
-    results += _check_csd_round_trip(orders, trials, tol)
+    results += _check_csd_round_trip(orders, trials)
     results += _check_self_adjoint_closure(orders, trials, tol)
     results += _check_recover_round_trip(orders, trials, tol)
     results += _check_rank_agreement(orders, trials, tol)

@@ -2,14 +2,7 @@ import pathlib
 
 import pytest
 
-from bccanon import Tolerances
-
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
-
-
-@pytest.fixture
-def tol():
-    return Tolerances()
 
 
 @pytest.fixture

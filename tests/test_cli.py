@@ -323,6 +323,40 @@ class TestUsageErrors:
             assert target.read_bytes() == b"keep me\n"
 
 
+class TestOrderTooLarge:
+    """An order whose matrices cannot be allocated is an input error (exit 2), not a traceback.
+
+    numpy refuses an allocation of 1e16 entries at once, so these tests take no memory.
+    """
+
+    ARGV = {
+        "generate": ["generate", "--order", "100000000", "--seed", "1"],
+        "selftest": ["selftest", "--orders", "100000001", "--trials", "1"],
+    }
+
+    def argv(self, command, out):
+        return self.ARGV[command] + (["--out", str(out)] if command == "generate" else [])
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_in_process(self, command, tmp_path, capsys):
+        argv = self.argv(command, tmp_path / "out")
+        assert main([*argv, "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert json.loads(out)["verdict"].startswith("error: Unable to allocate"), out
+        assert err == ""
+        report, code = run_command(argv)
+        assert code == 2 and report.verdict.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_subprocess(self, command, tmp_path):
+        result = run_cli(*self.argv(command, tmp_path / "out"))
+        assert result.returncode == 2, result.stdout + result.stderr
+        assert "verdict: error: Unable to allocate" in result.stdout
+        assert result.stderr == ""
+        assert not (tmp_path / "out").exists()
+
+
 _SCIPY_PRELUDE = """
 import os
 import sys

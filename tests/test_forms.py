@@ -1,5 +1,7 @@
 """Tests for boundary-pair verification, synthesis and canonical forms (odd order)."""
 
+import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -11,6 +13,7 @@ from bccanon import (
     BoundaryPair,
     CanonicalForm,
     Classification,
+    CsFactors,
     EvenCanonicalForm,
     NotSelfAdjoint,
     NotUnitary,
@@ -22,6 +25,7 @@ from bccanon import (
     classify,
     construct_from_W,
     coupling_block_ranks,
+    cs_reconstruct,
     even_canonical_decompose,
     generate_random_pair,
     haar_unitary,
@@ -30,7 +34,9 @@ from bccanon import (
     recover_W,
     row_space_angles,
 )
+import bccanon
 from bccanon import csd
+from bccanon.linalg import RANK_REL, UNITARY_ABS
 
 SPEC5 = OrderSpec.from_order(5)
 SPEC3 = OrderSpec.from_order(3)
@@ -509,15 +515,62 @@ class TestMeasuredOnce:
     @pytest.mark.parametrize("m", range(2, 14))
     def test_reported_ranks_match_numerical_rank(self, m):
         # Every k from 0 (full rank) to n (rank A = m - n), through an invertible G.
+        # The Gram bound moves the verdict, never the ranks.
         spec = OrderSpec.from_order(m)
         rng = np.random.default_rng(900 + m)
-        loose, default = Tolerances(rank_rel=0.25), Tolerances()
+        tols = (Tolerances(residual_abs=0.5), Tolerances(), Tolerances(residual_abs=1e-30))
         for k in range(spec.n + 1):
             normalized = generate_random_pair(spec, 9100 + k, target_unit_cosines=k)
             g = conditioned_invertible(m, rng)
             pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
-            tols = (loose, default, loose)
+            ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
+            assert ranks == (m - k, m - k)
             reports = [check_self_adjoint(pair, tol) for tol in tols]
-            for tol, report in zip(tols, reports):
-                assert (report.rank_A, report.rank_B) == (numerical_rank(pair.A, tol), numerical_rank(pair.B, tol))
-            assert reports[1].rank_A == reports[1].rank_B == m - k
+            assert [(r.rank_A, r.rank_B) for r in reports] == [ranks] * 3
+            assert [r.gram_ok for r in reports] == [True, True, False]
+
+
+def _unitary_with_sines(spec, sin, rng):
+    """W = blockdiag(u1, u2) @ core @ blockdiag(v1, v2) with the given sines and Haar corners."""
+    p, q = spec.csd_partition
+    u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
+    return cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, np.sqrt(1.0 - sin**2), sin))
+
+
+class TestFixedCutoffs:
+    """Ranks and unitarity are decided by the constants RANK_REL and UNITARY_ABS; no caller sets them."""
+
+    @pytest.mark.parametrize(
+        "name", ["construct_from_W", "construct_even_from_W", "cs_decompose", "coupling_block_ranks", "numerical_rank"]
+    )
+    def test_no_tol_parameter(self, name):
+        assert "tol" not in inspect.signature(getattr(bccanon, name)).parameters
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_form_fields(self, m):
+        form = canonical_decompose(generate_random_pair(OrderSpec.from_order(m), 1))
+        assert [f.name for f in dataclasses.fields(form)] == ["spec", "W", "P", "rank"]
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_block_ranks_cut_at_rank_rel(self, m):
+        # One sine below the cutoff is one unit cosine: rank A = rank B = m - 1.
+        spec = OrderSpec.from_order(m)
+        others = np.random.default_rng(m).uniform(0.2, 0.9, spec.n - 1)
+        ranks = [
+            coupling_block_ranks(_unitary_with_sines(spec, np.array([sine, *others]), np.random.default_rng(m)), spec)
+            for sine in (0.5 * RANK_REL, 2.0 * RANK_REL)
+        ]
+        assert ranks == [(m - 1, m - 1), (m, m)]
+
+    def test_unitarity_cut_at_unitary_abs(self):
+        u = random_unitary(5, 8)
+        near, far = (u * np.sqrt(1.0 + np.array([f * UNITARY_ABS, 0, 0, 0, 0])) for f in (0.5, 2.0))
+        construct_from_W(near, SPEC5)
+        csd.cs_decompose(near, 3, 2)
+        errors = []
+        for build in (lambda: construct_from_W(far, SPEC5), lambda: csd.cs_decompose(far, 3, 2)):
+            with pytest.raises(NotUnitary) as info:
+                build()
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].endswith(f"exceeds {UNITARY_ABS:.3e}")

@@ -14,17 +14,21 @@ from bccanon import (
     row_space_angles,
     unitarity_residual,
 )
+from bccanon.linalg import RANK_REL, UNITARY_ABS
 
 
 class TestTolerances:
     def test_defaults(self):
-        t = Tolerances()
-        assert t.rank_rel == 1e-10
-        assert t.unitary_abs == 1e-10
-        assert t.residual_abs == 1e-8
-        assert [f.name for f in fields(Tolerances)] == ["rank_rel", "unitary_abs", "residual_abs"]
+        assert Tolerances().residual_abs == 1e-8
+        assert [f.name for f in fields(Tolerances)] == ["residual_abs"]
+        assert RANK_REL == UNITARY_ABS == 1e-10
 
-    @pytest.mark.parametrize("field", ["rank_rel", "unitary_abs", "residual_abs"])
+    @pytest.mark.parametrize("field", ["rank_rel", "unitary_abs"])
+    def test_fixed_cutoffs_are_not_settable(self, field):
+        with pytest.raises(TypeError):
+            Tolerances(**{field: 1e-6})
+
+    @pytest.mark.parametrize("field", ["residual_abs"])
     @pytest.mark.parametrize("bad", [0.0, -1e-3, 1.0, 2.0])
     def test_rejects_out_of_range(self, field, bad):
         with pytest.raises(ValueError):

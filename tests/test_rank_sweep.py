@@ -6,10 +6,10 @@ and the other angles generic.  Odd order reads rank A three ways: the form
 the CS factors, with M M* = I - K K*.  Even order reads rank S two ways:
 the form (the lower-left block of W) and the sines of the CS factors, and
 checks n + rank S against the SVDs of A and B and both corner blocks of W.
-The unit-scale ranks cut sines and singular values at 1e-10, the SVDs of A
-and B at 1e-10 relative to their largest singular value, so the routes may
-differ only near that cutoff: sines in the band [1e-11, 1e-9] are not
-swept.
+The unit-scale ranks cut sines and singular values at RANK_REL = 1e-10,
+the SVDs of A and B at RANK_REL relative to their largest singular value,
+so the routes may differ only near that cutoff: sines in the band
+[1e-11, 1e-9] are not swept.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ import pytest
 from scipy.linalg import block_diag
 
 from bccanon import (
-    DEFAULT_TOL,
     OrderSpec,
     canonical_decompose,
     construct_even_from_W,
@@ -28,6 +27,7 @@ from bccanon import (
     haar_unitary,
     numerical_rank,
 )
+from bccanon.linalg import RANK_REL
 
 EXPONENTS = [e for e in range(3, 14) if not 9 <= e <= 11]  # sine = 10**-e
 
@@ -51,7 +51,7 @@ def m_route_rank_a(form):
     cs = form.cs
     n = len(cs.sin)
     m_block = (cs.u1[:n, :n] if cs.p > cs.q else cs.u2[1:, 1:]) * cs.sin
-    rank_m = int(np.count_nonzero(np.linalg.svd(m_block, compute_uv=False) > DEFAULT_TOL.rank_rel))
+    rank_m = int(np.count_nonzero(np.linalg.svd(m_block, compute_uv=False) > RANK_REL))
     return n + 1 + rank_m
 
 
@@ -72,5 +72,5 @@ def test_rank_routes_agree(m, e):
         form = even_canonical_decompose(pair)
         ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
         assert coupling_block_ranks(form.W, spec) == ranks == (n + form.rank_S,) * 2
-        assert form.rank_S == np.count_nonzero(form.cs.sin > DEFAULT_TOL.rank_rel)
+        assert form.rank_S == np.count_nonzero(form.cs.sin > RANK_REL)
         assert form.rank_S == n - lost

@@ -33,6 +33,8 @@ def test_output_digest_smoke(tmp_path):
     expected = {f"generate {g} {fmt}" for g in ("m5-k2", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
                  for i in ("dirichlet", "m5-k2", "mixed-m5", "w_identity") for fmt in ("json", "text")}
+    expected |= {f"{c} mixed-m5 --tol {script.TIGHT_TOL} {fmt}" for c in ("check", "classify", "canon")
+                 for fmt in ("json", "text")}
     expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     expected |= {f"selftest {s} {fmt}" for s in script.SELFTESTS for fmt in ("json", "text")}
     assert set(runs) == expected
