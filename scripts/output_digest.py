@@ -11,9 +11,10 @@ INPUT_DIR holds, so two commits digest the same inputs.  For each input the
 script runs ``check``, ``classify`` and ``canon``, on each mixed copy also
 with ``--tol TIGHT_TOL``, which fails some of them; it runs ``generate`` at
 each grid point and with each argument list of ``GENERATE_ERRORS``, which
-must fail with a usage error, ``check`` on each malformed file of
-``PARSE_ERRORS`` (raw bytes, not all of them UTF-8), which must fail with an
-input error, and ``selftest`` with each argument list of ``SELFTESTS``.
+must fail with a usage error (one passes ``--tol``, which only the pair
+commands take), ``check`` on each malformed file of ``PARSE_ERRORS`` (raw
+bytes, not all of them UTF-8), which must fail with an input error, and
+``selftest`` with each argument list of ``SELFTESTS``.
 Every run is made in ``--format json`` and ``text``.  OUT.json maps each run
 to its exit code, the SHA-256 of its stdout and the SHA-256 of every file it
 wrote.
@@ -48,6 +49,8 @@ GENERATE_ERRORS = {
     "target-out-of-range": ["--order", "5", "--seed", "1", "--unit-cosines", "9"],
     "negative-seed": ["--order", "5", "--seed", "-1"],
     "huge-order": ["--order", "100000000", "--seed", "1"],
+    # generate takes no --tol: its pairs are self-adjoint by construction.
+    "tol": ["--order", "9", "--seed", "3", "--unit-cosines", "2", "--tol", "1e-16"],
 }
 # Malformed matrix files that check must reject with an input error (exit 2), by name.
 PARSE_ERRORS = {
@@ -67,7 +70,8 @@ PARSE_ERRORS = {
 SELFTESTS = {
     "default": [],
     "orders-3,4,5-trials-3": ["--orders", "3,4,5", "--trials", "3"],
-    "orders-3,4,5-trials-3-tol-1e-14": ["--orders", "3,4,5", "--trials", "3", "--tol", "1e-14"],
+    # The even order 64 is built too, beside the even orders 2, 4 and 6 that every run builds.
+    "orders-2,64-trials-1": ["--orders", "2,64", "--trials", "1"],
 }
 # A Gram residual bound that the mixed copies straddle: some pass it, some do not.
 TIGHT_TOL = "1e-14"

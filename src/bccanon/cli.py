@@ -9,9 +9,12 @@ Subcommands
 
 Exit codes: 0 success, 1 criterion-failure verdict, 2 input/usage error
 (an --out that cannot be created or an order too large to allocate
-included), 3 numerical failure.  BC_CANON_TOL overrides residual_abs, the
-one settable tolerance (the bound on the Gram residual of the
-self-adjointness check); the --tol flag wins over the environment.
+included), 3 numerical failure.  Every command takes --format.  The three
+commands that read a pair, check, canon and classify, also take --tol,
+the one settable tolerance residual_abs (the bound on the Gram residual of
+the self-adjointness check); BC_CANON_TOL sets it too, and the flag wins.
+generate and selftest build pairs that are self-adjoint by construction
+and take no tolerance.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ _NUMERICAL_ERRORS = (NotSelfAdjoint, ConvergenceFailure, RankDeficient, NotUnita
 
 
 def _resolve_tolerances(args) -> Tolerances:
-    value, source = getattr(args, "tol", None), "--tol"
+    value, source = args.tol, "--tol"
     if value is None:
         env = os.environ.get("BC_CANON_TOL")
         if env is not None:
@@ -74,17 +77,18 @@ def _resolve_tolerances(args) -> Tolerances:
         raise ParseError(f"{source}: {exc}") from exc
 
 
-def _load_pair(path_a, path_b) -> BoundaryPair:
-    a = parse_matrix_file(path_a)
-    b = parse_matrix_file(path_b)
+def _load_pair(args) -> tuple[BoundaryPair, Tolerances]:
+    """(pair named by ``args``, its tolerances); the tolerance is resolved first."""
+    tol = _resolve_tolerances(args)
+    a = parse_matrix_file(args.A)
+    b = parse_matrix_file(args.B)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ParseError(f"A and B must be square and equal-sized, got {a.shape} and {b.shape}")
-    return BoundaryPair.from_matrices(a, b)
+    return BoundaryPair.from_matrices(a, b), tol
 
 
 def _cmd_check(args) -> tuple[Report, int]:
-    tol = _resolve_tolerances(args)
-    pair = _load_pair(args.A, args.B)
+    pair, tol = _load_pair(args)
     report = check_self_adjoint(pair, tol)
     if not np.isfinite(report.gram_residual):  # overflow: no verdict, as in classify and canon
         raise NotSelfAdjoint(f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), gram residual {report.gram_residual}")
@@ -119,8 +123,7 @@ def _write_factors(out_dir, factors, report: Report) -> None:
 
 def _load_form(args):
     """(pair, canonical form of its order) for the pair named by ``args``."""
-    tol = _resolve_tolerances(args)
-    pair = _load_pair(args.A, args.B)
+    pair, tol = _load_pair(args)
     return pair, canonical_decompose(pair, tol)
 
 
@@ -158,14 +161,13 @@ def _cmd_classify(args) -> tuple[Report, int]:
 
 
 def _cmd_generate(args) -> tuple[Report, int]:
-    tol = _resolve_tolerances(args)
     spec = OrderSpec.from_order(args.order)
-    pair = generate_random_pair(spec, args.seed, target_unit_cosines=args.unit_cosines, tol=tol)
+    pair = generate_random_pair(spec, args.seed, target_unit_cosines=args.unit_cosines)
     os.makedirs(args.out, exist_ok=True)
     path_a = os.path.join(args.out, "A.json")
     path_b = os.path.join(args.out, "B.json")
     factors = {"A": write_matrix_file(path_a, pair.A), "B": write_matrix_file(path_b, pair.B)}
-    report = check_self_adjoint(pair, tol)
+    report = check_self_adjoint(pair)
     out = Report(
         command="generate",
         inputs=[path_a, path_b],
@@ -188,7 +190,6 @@ def _cmd_generate(args) -> tuple[Report, int]:
 def _cmd_selftest(args) -> tuple[Report, int]:
     from .selftest import run_selftest  # loaded only by the command that runs it
 
-    tol = _resolve_tolerances(args)
     try:
         orders = tuple(int(tok) for tok in args.orders.split(",") if tok.strip())
     except ValueError as exc:
@@ -197,7 +198,7 @@ def _cmd_selftest(args) -> tuple[Report, int]:
         raise ParseError("--orders must name at least one order")
     if args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
-    results = run_selftest(orders=orders, trials=args.trials, tol=tol)
+    results = run_selftest(orders=orders, trials=args.trials)
     metrics = {}
     for res in results:
         metrics[res.name] = 1 if res.passed else 0
@@ -222,49 +223,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--tol", type=float, default=None, help="self-adjointness Gram residual bound (residual_abs)")
+    def add_command(name, func, summary, pair=False):
+        """Register one subcommand; only the commands that read a pair take A, B and --tol."""
+        p = sub.add_parser(name, help=summary)
+        if pair:
+            p.add_argument("A")
+            p.add_argument("B")
+            p.add_argument("--tol", type=float, default=None, help="self-adjointness Gram residual bound (residual_abs)")
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
+        p.set_defaults(func=func)
+        return p
 
-    p_check = sub.add_parser("check", help="verify the self-adjointness criterion")
-    p_check.add_argument("A")
-    p_check.add_argument("B")
-    add_common(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_canon = sub.add_parser("canon", help="write the canonical factorization")
-    p_canon.add_argument("A")
-    p_canon.add_argument("B")
+    add_command("check", _cmd_check, "verify the self-adjointness criterion", pair=True)
+    p_canon = add_command("canon", _cmd_canon, "write the canonical factorization", pair=True)
     p_canon.add_argument("--out", default=".", help="directory for factor files")
-    add_common(p_canon)
-    p_canon.set_defaults(func=_cmd_canon)
+    add_command("classify", _cmd_classify, "classify the boundary conditions", pair=True)
 
-    p_classify = sub.add_parser("classify", help="classify the boundary conditions")
-    p_classify.add_argument("A")
-    p_classify.add_argument("B")
-    add_common(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_generate = sub.add_parser("generate", help="synthesize a random self-adjoint pair")
+    p_generate = add_command("generate", _cmd_generate, "synthesize a random self-adjoint pair")
     p_generate.add_argument("--order", type=int, required=True, help="matrix size m")
     p_generate.add_argument("--seed", type=int, required=True)
     p_generate.add_argument("--unit-cosines", type=int, default=None, dest="unit_cosines")
     p_generate.add_argument("--out", default=".", help="directory for A.json and B.json")
-    add_common(p_generate)
-    p_generate.set_defaults(func=_cmd_generate)
 
-    p_selftest = sub.add_parser("selftest", help="run the invariant suite")
+    p_selftest = add_command("selftest", _cmd_selftest, "run the invariant suite")
     p_selftest.add_argument("--orders", default="3,5,7,9")
     p_selftest.add_argument("--trials", type=int, default=20)
-    add_common(p_selftest)
-    p_selftest.set_defaults(func=_cmd_selftest)
 
     return parser
 
 
 def _run(argv) -> tuple[Report, int, str]:
     args = build_parser().parse_args(argv)
-    fmt = getattr(args, "fmt", "text")
+    fmt = args.fmt
     try:
         report, code = args.func(args)
     except ParseError as exc:

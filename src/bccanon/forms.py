@@ -481,12 +481,7 @@ def coupling_block_ranks(w, spec: OrderSpec):
     return tuple(offset + unit_rank(block) for offset, block in blocks)
 
 
-def generate_random_pair(
-    spec: OrderSpec,
-    seed: int,
-    target_unit_cosines: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> BoundaryPair:
+def generate_random_pair(spec: OrderSpec, seed: int, target_unit_cosines: int | None = None) -> BoundaryPair:
     """Seeded random self-adjoint pair, optionally with a prescribed spectrum.
 
     Without a target the coupling unitary is Haar distributed.  With
@@ -496,8 +491,10 @@ def generate_random_pair(
     order, hence rank A = m - k.  The realized count is verified by the
     corner-block rank decision, which runs no CS decomposition, and the
     pair is resampled under a derived seed on the (probability-zero)
-    mismatches.  Raises InvalidTarget for a negative seed or a target
-    outside [0, n].
+    mismatches.  The pair is built in the normalized form (I : W) V*,
+    self-adjoint for every unitary W, so no tolerance is taken: the check
+    uses the default Gram bound.  Raises InvalidTarget for a negative seed
+    or a target outside [0, n].
     """
     n = spec.n
     if seed < 0:
@@ -515,7 +512,7 @@ def generate_random_pair(
         u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
         w = cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, cos, sin))
         pair = construct_from_W(w, spec)
-        if spec.m - canonical_decompose(pair, tol).rank == k:
+        if spec.m - canonical_decompose(pair).rank == k:
             return pair
     raise ConvergenceFailure(
         f"could not realize {target_unit_cosines} unit cosines after 64 attempts"

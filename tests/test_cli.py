@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -7,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+import bccanon
 from bccanon import ConvergenceFailure, matio, symplectic_matrix
 from bccanon.cli import main, run_command
 from bccanon.matio import parse_matrix_file, payload_to_matrix, write_matrix_file
+from bccanon.selftest import run_selftest
 
 
 def run_cli(*argv, cwd=None):
@@ -270,6 +273,61 @@ class TestEnvironmentTolerance:
 
         _, flag_wins = run_command(["check", a_path, b_path, "--tol", "1e-12"])
         assert flag_wins == 1
+
+
+class TestToleranceScope:
+    """--tol and BC_CANON_TOL judge a caller's pair; generate and selftest build theirs self-adjoint and take none."""
+
+    ARGV = {
+        "generate": ["generate", "--order", "5", "--seed", "1", "--tol", "0.5"],
+        "selftest": ["selftest", "--orders", "3", "--trials", "1", "--tol", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_tol_flag_is_usage_error(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "out")] if command == "generate" else []
+        result = run_cli(*self.ARGV[command], *out)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments: --tol" in result.stderr
+        assert main([*self.ARGV[command], *out]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and "unrecognized arguments: --tol" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["generate_random_pair", "run_selftest"])
+    def test_builders_take_no_tol(self, name):
+        function = run_selftest if name == "run_selftest" else getattr(bccanon, name)
+        assert "tol" not in inspect.signature(function).parameters
+
+    def test_generate_ignores_environment_bound(self, tmp_path, monkeypatch, capsys):
+        # 1e-16 lies below this pair's own Gram roundoff (1.9e-15): a check under it would fail.
+        argv = ["generate", "--order", "9", "--seed", "3", "--unit-cosines", "2", "--out", "out"]
+        runs = []
+        for env in (None, "1e-16"):
+            work = tmp_path / f"env-{env}"
+            work.mkdir()
+            monkeypatch.chdir(work)  # a relative --out prints the same paths in both runs
+            if env is not None:
+                monkeypatch.setenv("BC_CANON_TOL", env)
+            assert main(argv) == 0
+            runs.append([capsys.readouterr().out] + [(work / "out" / f"{x}.json").read_bytes() for x in "AB"])
+        assert runs[0] == runs[1]
+
+    def test_selftest_ignores_environment_bound(self, monkeypatch):
+        monkeypatch.setenv("BC_CANON_TOL", "1e-16")
+        report, code = run_command(["selftest", "--orders", "3,5", "--trials", "2"])
+        assert (code, report.verdict) == (0, "pass")
+
+    @pytest.mark.parametrize("command", ["classify", "canon"])
+    def test_pair_commands_read_the_bound(self, command, generated_pair, tmp_path, monkeypatch):
+        argv = [command, *map(str, generated_pair), "--out", str(tmp_path / "factors")]
+        argv = argv if command == "canon" else argv[:3]
+        assert run_command(argv)[1] == 0
+        report, code = run_command([*argv, "--tol", "1e-30"])
+        assert code == 3 and report.verdict.startswith("error: ")
+        monkeypatch.setenv("BC_CANON_TOL", "1e-30")
+        assert run_command(argv)[1] == 3
 
 
 class TestUsageErrors:

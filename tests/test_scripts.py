@@ -39,6 +39,9 @@ def test_output_digest_smoke(tmp_path):
     expected |= {f"selftest {s} {fmt}" for s in script.SELFTESTS for fmt in ("json", "text")}
     assert set(runs) == expected
     assert {"check not-utf8 json", "check not-utf8 text", "check deep-nesting json"} <= expected
+    # --tol reaches only the pair commands: generate rejects it, selftest runs without it.
+    assert {"generate tol json", "selftest orders-2,64-trials-1 text"} <= expected
+    assert not any("--tol" in argv for argv in script.SELFTESTS.values())
     errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
     errors |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in errors)

@@ -1,5 +1,6 @@
 """Tests for the invariant-suite runner and its CLI command."""
 
+import bccanon.selftest
 from bccanon.cli import run_command
 from bccanon.selftest import run_selftest
 
@@ -41,3 +42,23 @@ def test_cli_selftest_exit_zero():
 def test_cli_selftest_bad_orders_usage_error():
     _, code = run_command(["selftest", "--orders", "3,five"])
     assert code == 2
+
+
+def test_even_orders_given_are_built(monkeypatch):
+    built = set()
+    generate = bccanon.selftest.generate_random_pair
+
+    def recording(spec, *args, **kwargs):
+        built.add(spec.m)
+        return generate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(bccanon.selftest, "generate_random_pair", recording)
+    results = run_selftest(orders=(64,), trials=1)
+    assert built == {2, 4, 6, 64}
+    assert all(r.passed for r in results)
+
+
+def test_cli_selftest_order_zero_usage_error():
+    report, code = run_command(["selftest", "--orders", "0"])
+    assert code == 2
+    assert report.verdict == "error: even order must be at least 2, got 0"
