@@ -30,7 +30,6 @@ from .forms import (
     SelfAdjointReport,
     canonical_decompose,
     check_self_adjoint,
-    classify,
     construct_even_from_W,
     construct_from_W,
     coupling_block_ranks,
@@ -80,7 +79,6 @@ __all__ = [
     "UnsupportedOrder",
     "canonical_decompose",
     "check_self_adjoint",
-    "classify",
     "construct_even_from_W",
     "construct_from_W",
     "coupling_block_ranks",

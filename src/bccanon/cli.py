@@ -203,16 +203,11 @@ def _cmd_selftest(args) -> tuple[Report, int]:
     for res in results:
         metrics[res.name] = 1 if res.passed else 0
         metrics[f"{res.name}.worst"] = res.worst
-    passed = sum(res.passed for res in results)
-    metrics["checks_passed"] = passed
+    metrics["checks_passed"] = passed = sum(res.passed for res in results)
     metrics["checks_total"] = len(results)
-    out = Report(
-        command="selftest",
-        inputs=[],
-        verdict="pass" if passed == len(results) else "fail",
-        metrics=metrics,
-    )
-    return out, EXIT_OK if passed == len(results) else EXIT_CRITERION
+    ok = passed == len(results)
+    out = Report(command="selftest", verdict="pass" if ok else "fail", metrics=metrics)
+    return out, EXIT_OK if ok else EXIT_CRITERION
 
 
 def build_parser() -> argparse.ArgumentParser:

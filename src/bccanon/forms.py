@@ -34,10 +34,10 @@ from .errors import (
     InvalidTarget,
     NotSelfAdjoint,
     RankDeficient,
-    UnsupportedOrder,
 )
 from .linalg import (
     DEFAULT_TOL,
+    UNITARY_ABS,
     Tolerances,
     as_complex_matrix,
     block_diag,
@@ -65,7 +65,6 @@ __all__ = [
     "construct_even_from_W",
     "recover_W",
     "canonical_decompose",
-    "classify",
     "coupling_block_ranks",
     "generate_random_pair",
     "even_canonical_decompose",
@@ -200,14 +199,15 @@ construct_even_from_W = construct_from_W
 
 
 def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
-    """Unique unitary W with (A : B) row-equivalent to (I : W) V*.
+    """(W, P): the unique unitary W and the P with (A : B) = P (I : W) V*.
 
-    Checks the self-adjointness criterion, then splits the rows of (A : B)
-    over the two column halves of the eigenbasis V (the two eigenspaces of
-    the structure matrix), aligns the resulting coefficient matrices through
-    their SVDs, and composes the right singular factors.  Returns (W, P)
-    where P is the first-half coefficient matrix, i.e. the exact left factor
-    with (A : B) = P (I : W) V*.
+    Checks the self-adjointness criterion, then splits (A : B) over the two
+    column halves (eigenspaces) of V: (A : B) V = (P : R) with R = P W.
+    When X = P^-1 R (one LU solve) is unitary within ``UNITARY_ABS``, one
+    Newton-Schulz step X (3I - X*X) / 2 gives its unitary polar factor, to
+    an error of order the square of X's unitarity residual.  Otherwise W is
+    composed from the SVDs of P and R, raising RankDeficient on a
+    numerically singular P.
     """
     rank_ab, rank_ok, gram_residual, gram_ok = _self_adjoint_criterion(pair, tol)
     if not (rank_ok and gram_ok):
@@ -219,20 +219,27 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     basis = eigenbasis(pair.spec).V
     p_coef = ab @ basis[:, :m]
     r_coef = ab @ basis[:, m:]
+    try:
+        x = np.linalg.solve(p_coef, r_coef)
+        gram, eye = x.conj().T @ x, np.eye(m)
+        if np.max(np.abs(gram - eye)) <= UNITARY_ABS:
+            return x @ (1.5 * eye - 0.5 * gram), p_coef
+    except np.linalg.LinAlgError:  # P exactly singular
+        pass
     up, sp, vph = np.linalg.svd(p_coef)
     ur, _, vrh = np.linalg.svd(r_coef)
     if relative_rank(sp) < m:
         raise RankDeficient("eigenspace coefficient matrix is numerically singular")
-    w = vph.conj().T @ (up.conj().T @ ur) @ vrh
-    return w, p_coef
+    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_coef
 
 
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Invert :func:`construct_from_W` up to row equivalence.
 
     The result is invariant under left multiplication of the pair by any
-    invertible matrix.  Raises NotSelfAdjoint when the rank/Gram criterion
-    fails and RankDeficient on numerically singular coefficients.
+    invertible matrix; :func:`_recover_coupling` gives the route.  Raises
+    NotSelfAdjoint when the rank/Gram criterion fails and RankDeficient on
+    numerically singular coefficients.
     """
     return _recover_coupling(pair, tol)[0]
 
@@ -296,10 +303,10 @@ class _Form:
     """Fields and CS factors shared by both canonical forms.
 
     Holds the recovered W, its left factor P with (A : B) = P (I : W) V*,
-    and rank A (= rank B), from which the class follows.
-    The CS factors ``cs`` of W over ``spec.csd_partition``, and every factor
-    built from them, are derived on first access and then cached; the first
-    such read runs the CS decomposition and may raise ConvergenceFailure.
+    and rank A (= rank B), from which the class follows.  The CS factors
+    ``cs`` of W over ``spec.csd_partition``, and every factor built from
+    them, are derived on first access and cached; the first such read runs
+    the CS decomposition and may raise ConvergenceFailure.
     """
 
     spec: OrderSpec
@@ -401,8 +408,7 @@ class EvenCanonicalForm(_Form):
     V1, U1*, U2*, V2, and Z the fixed unitary right factor.  Classification
     is read off the sines, the singular values of W's lower-left n x n
     block: separated iff S = 0, coupled iff S has full rank n, mixed in
-    between; ``rank_S = rank - n``.  U, like every factor built from the CS
-    factors, is derived on first access.
+    between; ``rank_S = rank - n``.
     """
 
     @property
@@ -452,21 +458,6 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
 even_canonical_decompose = canonical_decompose
 
 
-def classify(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL):
-    """Classify an odd-order pair; returns (classification, r).
-
-    r = rank A - (n+1) lies in [0, n]; the pair is coupled exactly when
-    r = n, mixed otherwise.  Fully separated conditions do not exist for
-    odd order, so SEPARATED is never returned here.  Raises
-    UnsupportedOrder at even order, whose class is
-    ``canonical_decompose(pair).classification``.
-    """
-    if not pair.spec.is_odd_order:
-        raise UnsupportedOrder(f"classify handles odd order, got m = {pair.spec.m}")
-    form = canonical_decompose(pair, tol)
-    return form.classification, form.r
-
-
 def coupling_block_ranks(w, spec: OrderSpec):
     """(rank A, rank B) of a pair from the corner blocks of its W.
 
@@ -489,12 +480,10 @@ def generate_random_pair(spec: OrderSpec, seed: int, target_unit_cosines: int | 
     are drawn uniformly from (1e-3, 1 - 1e-3), which pins the nullity of
     I - K K* = M M* to k for odd order and the sine rank to n-k for even
     order, hence rank A = m - k.  The realized count is verified by the
-    corner-block rank decision, which runs no CS decomposition, and the
-    pair is resampled under a derived seed on the (probability-zero)
-    mismatches.  The pair is built in the normalized form (I : W) V*,
-    self-adjoint for every unitary W, so no tolerance is taken: the check
-    uses the default Gram bound.  Raises InvalidTarget for a negative seed
-    or a target outside [0, n].
+    corner-block rank decision, and the pair is resampled under a derived
+    seed on the (probability-zero) mismatches.  The pair is built in the
+    normalized form (I : W) V*, self-adjoint for every unitary W.  Raises
+    InvalidTarget for a negative seed or a target outside [0, n].
     """
     n = spec.n
     if seed < 0:

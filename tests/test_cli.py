@@ -204,24 +204,27 @@ class TestCanon:
 
 
 class TestClassifySvdCalls:
-    """classify reads every rank off W: one SVD for rank (A : B), two for the recovery, one corner block."""
+    """classify reads every rank off W: one SVD for rank (A : B) and one of a corner block; W needs none."""
 
     @pytest.mark.parametrize("order", [20, 21])
-    def test_four_svds(self, tmp_path, monkeypatch, order):
+    def test_four_svds(self, tmp_path, count_svds, order):
         _, code = run_command(["generate", "--order", str(order), "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
-        calls = []
-        svd = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = count_svds()
         report, code = run_command(["classify", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
         assert code == 0
-        assert len(calls) == 4, calls
+        assert len(calls) == 2, calls
         assert report.metrics["rank_A"] == report.metrics["rank_B"] == order
+
+    def test_singular_coefficients_fall_back_and_exit_three(self, tmp_path, count_svds, ill_conditioned_pair):
+        write_matrix_file(tmp_path / "A.json", ill_conditioned_pair.A)
+        write_matrix_file(tmp_path / "B.json", ill_conditioned_pair.B)
+        calls = count_svds()
+        report, code = run_command(["classify", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
+        assert code == 3
+        assert report.verdict == "error: eigenspace coefficient matrix is numerically singular"
+        # (A : B) for the check, then the SVDs of both coefficient matrices.
+        assert calls == [(5, 10), (5, 5), (5, 5)]
 
 
 class TestSubprocessInterface:

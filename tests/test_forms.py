@@ -18,14 +18,15 @@ from bccanon import (
     NotSelfAdjoint,
     NotUnitary,
     OrderSpec,
+    RankDeficient,
     Tolerances,
     UnsupportedOrder,
     canonical_decompose,
     check_self_adjoint,
-    classify,
     construct_from_W,
     coupling_block_ranks,
     cs_reconstruct,
+    eigenbasis,
     even_canonical_decompose,
     generate_random_pair,
     haar_unitary,
@@ -33,6 +34,7 @@ from bccanon import (
     random_unitary,
     recover_W,
     row_space_angles,
+    unitarity_residual,
 )
 import bccanon
 from bccanon import csd
@@ -54,6 +56,15 @@ def coupled_unitary_order5():
 def conditioned_invertible(m, rng):
     """Random invertible matrix with condition number below 100."""
     return haar_unitary(m, rng) @ np.diag(rng.uniform(0.2, 2.0, m)).astype(complex) @ haar_unitary(m, rng)
+
+
+def svd_route_w(pair):
+    """W = Vp (Up* Ur) Vr* from the SVDs Up Sp Vp* of P and Ur Sr Vr* of R, (A : B) V = (P : R)."""
+    m = pair.spec.m
+    v = eigenbasis(pair.spec).V
+    up, _, vph = np.linalg.svd(pair.stacked() @ v[:, :m])
+    ur, _, vrh = np.linalg.svd(pair.stacked() @ v[:, m:])
+    return vph.conj().T @ (up.conj().T @ ur) @ vrh
 
 
 class TestCheckSelfAdjoint:
@@ -147,6 +158,55 @@ class TestRecoverW:
         with pytest.raises(NotSelfAdjoint):
             recover_W(pair)
 
+    @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
+    def test_solve_route_matches_the_svd_route(self, count_svds, m):
+        # Row mixers with singular values in [0.3, 3], as the benchmark draws them.
+        spec = OrderSpec.from_order(m)
+        rng = np.random.default_rng(6100 + m)
+        normalized = generate_random_pair(spec, m, target_unit_cosines=spec.n // 2)
+        g = (haar_unitary(m, rng) * rng.uniform(0.3, 3.0, m)) @ haar_unitary(m, rng)
+        pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+        reference = svd_route_w(pair)
+        check_self_adjoint(pair)
+        calls = count_svds()
+        w = recover_W(pair)
+        assert calls == []
+        assert np.max(np.abs(w - reference)) <= 1e-12
+        assert unitarity_residual(w) <= 1e-14
+
+    def test_singular_coefficients_fall_back_to_the_svd_route(self, count_svds, ill_conditioned_pair):
+        assert check_self_adjoint(ill_conditioned_pair).ok
+        calls = count_svds()
+        with pytest.raises(RankDeficient, match="^eigenspace coefficient matrix is numerically singular$"):
+            canonical_decompose(ill_conditioned_pair)
+        assert calls == [(5, 5), (5, 5)]
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_singular_p_that_passes_the_check_is_rank_deficient(self, count_svds, m):
+        # (P : R) = (diag(1, .., 1, 0), diag(1, .., 1, 1e-5)) has Gram residual 1e-10 and full rank.
+        # At m = 4 the computed P is exactly singular and the solve raises; at m = 5 it is not, and
+        # X = P^-1 R is far from unitary.  Both fall back to the SVDs.
+        spec = OrderSpec(m)
+        v = eigenbasis(spec).V
+        ones = [1.0] * (m - 1)
+        ab = np.hstack([np.diag(ones + [0.0]), np.diag(ones + [1e-5])]) @ v.conj().T
+        pair = BoundaryPair(A=ab[:, :m], B=ab[:, m:], spec=spec)
+        assert check_self_adjoint(pair).ok
+        calls = count_svds()
+        with pytest.raises(RankDeficient):
+            recover_W(pair)
+        assert calls == [(m, m), (m, m)]
+
+    @pytest.mark.parametrize("m", range(3, 14))
+    def test_all_unit_cosines_recover_exactly_zero_off_diagonal_blocks(self, m):
+        # test_criterion_08 reads numerical_rank(I - K K*) at k = n, which is
+        # pure roundoff unless the CSD sees W exactly block diagonal.
+        spec = OrderSpec.from_order(m)
+        p, _ = spec.csd_partition
+        for seed in range(4):
+            w = canonical_decompose(generate_random_pair(spec, seed, target_unit_cosines=spec.n)).W
+            assert not w[:p, p:].any() and not w[p:, :p].any()
+
 
 class TestCanonicalDecompose:
     def test_identity_coupling_order5(self):
@@ -206,11 +266,6 @@ class TestCanonicalDecompose:
         assert type(form) is (CanonicalForm if spec.is_odd_order else EvenCanonicalForm)
         assert even_canonical_decompose is canonical_decompose
 
-    def test_even_order_unsupported(self):
-        # canonical_decompose serves both orders; classify's (class, r) contract stays odd-only.
-        with pytest.raises(UnsupportedOrder):
-            classify(BoundaryPair.from_matrices(np.eye(4), np.eye(4)))
-
     def test_decisions_do_not_build_q4(self, monkeypatch):
         def refuse(*args):
             raise RuntimeError("factor built before it was read")
@@ -226,7 +281,7 @@ class TestCanonicalDecompose:
                 if spec.is_odd_order:
                     assert (form.null_count, form.predicted_rank_A, form.predicted_rank_B) == (k, m - k, m - k)
                     expected = Classification.COUPLED if k == 0 else Classification.MIXED
-                    assert classify(pair) == (expected, n - k)
+                    assert form.r == n - k
                     factors = ("cs", "Q1", "core", "Q4", "Q3", "Q2", "K")
                 else:
                     assert form.rank_S == n - k
@@ -302,26 +357,26 @@ class TestPredictedRanks:
 
 class TestClassify:
     def test_identity_coupling_is_mixed(self):
-        pair = construct_from_W(np.eye(5, dtype=complex), SPEC5)
-        assert classify(pair) == (Classification.MIXED, 0)
+        form = canonical_decompose(construct_from_W(np.eye(5, dtype=complex), SPEC5))
+        assert (form.classification, form.r) == (Classification.MIXED, 0)
 
     def test_antidiagonal_coupling_is_coupled(self):
-        pair = construct_from_W(coupled_unitary_order5(), SPEC5)
-        assert classify(pair) == (Classification.COUPLED, 2)
+        form = canonical_decompose(construct_from_W(coupled_unitary_order5(), SPEC5))
+        assert (form.classification, form.r) == (Classification.COUPLED, 2)
 
     @pytest.mark.parametrize("m", [3, 5, 7, 9])
     def test_offset_range_and_rank_equality(self, m):
         spec = OrderSpec.from_order(m)
         for t in range(6):
             pair = generate_random_pair(spec, 8200 + t, target_unit_cosines=t % (spec.n + 1))
-            classification, r = classify(pair)
-            assert 0 <= r <= spec.n
-            assert classification in (Classification.MIXED, Classification.COUPLED)
+            form = canonical_decompose(pair)
+            assert 0 <= form.r <= spec.n
+            assert form.classification in (Classification.MIXED, Classification.COUPLED)
             assert numerical_rank(pair.A) == numerical_rank(pair.B)
 
     def test_rejects_non_self_adjoint(self):
         with pytest.raises(NotSelfAdjoint):
-            classify(BoundaryPair.from_matrices(np.eye(5), np.zeros((5, 5))))
+            canonical_decompose(BoundaryPair.from_matrices(np.eye(5), np.zeros((5, 5))))
 
 
 class TestGenerateRandomPair:
@@ -332,12 +387,12 @@ class TestGenerateRandomPair:
         assert a.B.tobytes() == b.B.tobytes()
 
     def test_target_two_units_is_mixed_rank3(self):
-        pair = generate_random_pair(SPEC5, 5, target_unit_cosines=2)
-        assert classify(pair) == (Classification.MIXED, 0)
+        form = canonical_decompose(generate_random_pair(SPEC5, 5, target_unit_cosines=2))
+        assert (form.classification, form.r) == (Classification.MIXED, 0)
 
     def test_target_zero_units_is_coupled(self):
-        pair = generate_random_pair(SPEC5, 5, target_unit_cosines=0)
-        assert classify(pair) == (Classification.COUPLED, 2)
+        form = canonical_decompose(generate_random_pair(SPEC5, 5, target_unit_cosines=0))
+        assert (form.classification, form.r) == (Classification.COUPLED, 2)
 
     def test_many_seeds_self_adjoint(self):
         spec = OrderSpec.from_order(7)
@@ -471,38 +526,24 @@ class TestMeasuredOnce:
             cs.core[0, 0] = 0.0
 
     @pytest.mark.parametrize("m", [5, 6])
-    def test_check_then_decompose_runs_six_svds(self, monkeypatch, m):
+    def test_check_then_decompose_runs_four_svds(self, count_svds, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
-        calls = []
-        svd = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = count_svds()
         check_self_adjoint(pair)
         canonical_decompose(pair)
-        # (A : B), A and B for the check; the two coefficient matrices and one corner block for W.
-        assert len(calls) == 6, calls
+        # (A : B), A and B for the check; one corner block for the rank.  W is solved for, with no SVD.
+        assert len(calls) == 4, calls
 
     @pytest.mark.parametrize("m", [5, 6])
-    def test_second_check_runs_no_svd(self, monkeypatch, m):
+    def test_second_check_runs_no_svd(self, count_svds, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
-        calls = []
-        svd = np.linalg.svd
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = count_svds()
         first = check_self_adjoint(pair)
         assert len(calls) == 3, calls
         assert check_self_adjoint(pair) == first
         assert len(calls) == 3, calls
         canonical_decompose(pair)
-        assert len(calls) == 6, calls
+        assert len(calls) == 4, calls
 
     def test_stacked_is_one_read_only_array(self):
         pair = generate_random_pair(SPEC5, 2)

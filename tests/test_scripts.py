@@ -18,13 +18,6 @@ def load_script(name):
     return module
 
 
-def test_rank_attainment_survey_runs(capsys):
-    load_script("rank_attainment_survey").survey(2, 3)
-    out = capsys.readouterr().out
-    assert "m = 3 (n = 1)" in out and "m = 5 (n = 2)" in out
-    assert "targeted generator attains r in [0, 1, 2] (of 0..2)" in out
-
-
 def test_output_digest_smoke(tmp_path):
     script = load_script("output_digest")
     inputs = tmp_path / "inputs"

@@ -62,3 +62,11 @@ def test_cli_selftest_order_zero_usage_error():
     report, code = run_command(["selftest", "--orders", "0"])
     assert code == 2
     assert report.verdict == "error: even order must be at least 2, got 0"
+
+
+def test_no_odd_order_runs_no_odd_check():
+    results = run_selftest(orders=(64,), trials=1)
+    assert {r.name for r in results} == {"even_reconstruction", "even_trichotomy", "even_separated_support"}
+    report, code = run_command(["selftest", "--orders", "64", "--trials", "1"])
+    assert code == 0
+    assert report.metrics["checks_total"] == report.metrics["checks_passed"] == 3
