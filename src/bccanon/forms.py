@@ -400,12 +400,12 @@ class CanonicalForm(_Form):
 
 
 class EvenCanonicalForm(_Form):
-    """Even-order canonical factorization (A : B) = U @ middle @ right @ Z.
+    """Even-order canonical factorization (A : B) = U @ middle @ right.
 
     U = P @ blockdiag(U1, U2) is 2n x 2n invertible (not necessarily
     unitary), with P the coefficient matrix of the recovery, ``middle`` is
-    the sparse block [C I 0 S; -S 0 I C], ``right`` the block diagonal of
-    V1, U1*, U2*, V2, and Z the fixed unitary right factor.  Classification
+    the sparse block [C I 0 S; -S 0 I C], and ``right`` is the block diagonal
+    of V1, U1*, U2*, V2 times Z, the fixed unitary right factor.  Classification
     is read off the sines, the singular values of W's lower-left n x n
     block: separated iff S = 0, coupled iff S has full rank n, mixed in
     between; ``rank_S = rank - n``.
