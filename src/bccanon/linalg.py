@@ -8,6 +8,10 @@ sampling); the heavy lifting is delegated to LAPACK via numpy.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,11 @@ __all__ = [
 # (A : B), absolute for quantities of unit scale (sines, blocks of a unitary).
 RANK_REL = 1e-10
 UNITARY_ABS = 1e-10  # max absolute deviation of U*U from the identity
+
+# From this size up, a values-only SVD runs faster on one OpenBLAS thread: half
+# of its bidiagonal reduction is matrix-vector products too short to split.
+_SERIAL_SVD_MIN = 64
+_BLAS_THREADS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -102,22 +111,75 @@ def relative_rank(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > RANK_REL * sigma[0]))
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None when there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = sorted(name for name in os.listdir(libs) if "openblas" in name)
+    except OSError:  # numpy linked against a system BLAS
+        return None
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _svdvals(x: np.ndarray) -> np.ndarray:
+    """Singular values of ``x``, or of each matrix in a stack, for a rank decision.
+
+    From ``_SERIAL_SVD_MIN`` rows and columns up, and when numpy's OpenBLAS
+    is found, the SVD runs with that library set to one thread; the caller's
+    count is restored afterwards.  The count is process-global, so the lock
+    keeps two callers from interleaving get, set and restore.  Without
+    OpenBLAS, or below the size, this is the plain call.  The two may differ
+    in the last bits of the values, as the threads sum in another order; a
+    rank read off them moves only for a value within roundoff of its cutoff.
+    """
+    shape = x.shape  # indexed, not min(shape[-2:]): this path runs on every tiny pair
+    if shape[-1] < _SERIAL_SVD_MIN or shape[-2] < _SERIAL_SVD_MIN or (blas := _openblas_threads()) is None:
+        return np.linalg.svd(x, compute_uv=False)
+    get, set_ = blas
+    with _BLAS_THREADS_LOCK:
+        before = get()
+        set_(1)
+        try:
+            return np.linalg.svd(x, compute_uv=False)
+        finally:
+            set_(before)
+
+
 def unit_rank(block: np.ndarray) -> int:
     """Number of singular values of ``block`` above ``RANK_REL``.
 
     Blocks of a unitary have singular values of unit natural scale (the
     sines among them), so the cutoff is absolute; a relative one would
-    count roundoff as rank when a block should be zero.
+    count roundoff as rank when a block should be zero.  From 64 rows and
+    columns up the SVD runs on one OpenBLAS thread (see the README's
+    performance notes).
     """
-    return int(np.count_nonzero(np.linalg.svd(block, compute_uv=False) > RANK_REL))
+    return int(np.count_nonzero(_svdvals(block) > RANK_REL))
 
 
 def numerical_rank(m) -> int:
-    """Number of singular values above ``RANK_REL * sigma_max``; 0 for the zero matrix."""
+    """Number of singular values above ``RANK_REL * sigma_max``; 0 for the zero matrix.
+
+    From 64 rows and columns up the SVD runs on one OpenBLAS thread (see the
+    README's performance notes).
+    """
     m = as_complex_matrix(m)
     if m.size == 0:
         return 0
-    return relative_rank(np.linalg.svd(m, compute_uv=False))
+    return relative_rank(_svdvals(m))
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

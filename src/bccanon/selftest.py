@@ -158,21 +158,6 @@ def _check_canonical_reconstruction(orders, trials):
     ]
 
 
-def _check_classification(orders, trials):
-    ok = True
-    for spec in _odd_specs(orders):
-        n = spec.n
-        for t in range(trials):
-            k = t % (n + 1)
-            pair = generate_random_pair(spec, 11000 + 19 * spec.m + t, target_unit_cosines=k)
-            form = canonical_decompose(pair)
-            coupled = form.classification is Classification.COUPLED
-            ok = ok and form.classification is not Classification.SEPARATED
-            ok = ok and (coupled == (form.predicted_rank_A == 2 * n + 1))
-            ok = ok and (coupled == (form.r == n))
-    return [CheckResult("classification_dichotomy", ok, 0.0, "coupled iff full rank, never separated")]
-
-
 def _check_even_order(orders, trials):
     worst_recon = 0.0
     trichotomy = support = True
@@ -214,6 +199,5 @@ def run_selftest(orders=(3, 5, 7, 9), trials: int = 20):
         results += _check_recover_round_trip(orders, trials)
         results += _check_rank_agreement(orders, trials)
         results += _check_canonical_reconstruction(orders, trials)
-        results += _check_classification(orders, trials)
     results += _check_even_order(orders, trials)
     return results

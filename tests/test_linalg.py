@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra kernels."""
 
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -14,7 +16,8 @@ from bccanon import (
     row_space_angles,
     unitarity_residual,
 )
-from bccanon.linalg import RANK_REL, UNITARY_ABS
+from bccanon import linalg
+from bccanon.linalg import RANK_REL, UNITARY_ABS, relative_rank, unit_rank
 
 
 class TestTolerances:
@@ -117,3 +120,94 @@ class TestRowSpaceAngles:
         b = np.zeros((2, 4))
         b[0, 2] = b[1, 3] = 1.0
         assert np.min(row_space_angles(a, b)) == pytest.approx(np.pi / 2)
+
+
+needs_openblas = pytest.mark.skipif(linalg._openblas_threads() is None, reason="numpy's OpenBLAS not found")
+
+
+def _square(m: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+
+class TestSerialSvdScope:
+    @needs_openblas
+    def test_restores_the_callers_count(self):
+        get, _ = linalg._openblas_threads()
+        before = get()
+        linalg._svdvals(_square(128, 0))
+        assert get() == before
+
+    @needs_openblas
+    def test_restores_the_count_when_the_svd_raises(self, monkeypatch):
+        get, _ = linalg._openblas_threads()
+        before = get()
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(get())
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._svdvals(_square(128, 1))
+        assert seen == [1]
+        assert get() == before
+
+    @pytest.mark.parametrize("shape", [(63, 63), (2, 63, 63), (63, 128), (5, 10)])
+    def test_below_the_gate_never_sets_the_count(self, monkeypatch, shape):
+        sets = []
+
+        def spy(n):
+            sets.append(n)
+
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: (lambda: 2, spy))
+        x = np.ones(shape, dtype=complex)
+        assert np.array_equal(linalg._svdvals(x), np.linalg.svd(x, compute_uv=False))
+        assert sets == []
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_without_openblas_the_values_are_the_plain_svd(self, monkeypatch, m):
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        x = np.stack((_square(m, 2), _square(m, 3)))
+        assert np.array_equal(linalg._svdvals(x), np.linalg.svd(x, compute_uv=False))
+
+    @needs_openblas
+    def test_concurrent_callers_leave_the_count_unchanged(self):
+        get, _ = linalg._openblas_threads()
+        before = get()
+        x = _square(128, 4)
+        errors = []
+
+        def work():
+            try:
+                for _ in range(5):
+                    linalg._svdvals(x)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert get() == before
+
+    @pytest.mark.parametrize("m", [64, 128, 201])
+    def test_ranks_match_the_plain_svd(self, m):
+        rng = np.random.default_rng(m)
+        w = random_unitary(m, m)
+        low = _square(m, 5)[:, : m // 2] @ _square(m, 6)[: m // 2, :]
+        for x in (w, low, np.vstack([w[: m // 3], np.zeros((m - m // 3, m))])):
+            x = x * rng.uniform(0.5, 2.0)
+            plain = np.linalg.svd(x, compute_uv=False)
+            assert relative_rank(linalg._svdvals(x)) == relative_rank(plain)
+            assert numerical_rank(x) == relative_rank(plain)
+            assert unit_rank(x) == int(np.count_nonzero(plain > RANK_REL))

@@ -25,7 +25,6 @@ def test_all_invariants_pass():
         "rank_m_route_vs_svd",
         "canonical_reconstruction",
         "canonical_row_space",
-        "classification_dichotomy",
         "even_reconstruction",
         "even_trichotomy",
         "even_separated_support",
