@@ -5,11 +5,13 @@ Usage: python scripts/output_digest.py INPUT_DIR OUT.json
 
 On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
-each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, and the
-``dirichlet`` and ``w_identity`` fixtures; later runs reuse whatever
-INPUT_DIR holds, so two commits digest the same inputs.  For each input the
-script runs ``check``, ``classify`` and ``canon``, on each mixed copy also
-with ``--tol TIGHT_TOL``, which fails some of them; it runs ``generate`` at
+each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies
+s (A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
+``SCALES``, and the ``dirichlet`` and ``w_identity`` fixtures; later runs
+reuse whatever INPUT_DIR holds, so two commits digest the same inputs.
+For each input the script runs ``check``, ``classify`` and ``canon``, on
+each mixed copy also with ``--tol TIGHT_TOL``, which fails some of them;
+it runs ``generate`` at
 each grid point and with each argument list of ``GENERATE_ERRORS``, which
 must fail with a usage error (one passes ``--tol``, which only the pair
 commands take), ``check`` on each malformed file of ``PARSE_ERRORS`` (raw
@@ -41,6 +43,10 @@ GRID = tuple((m, k) for m in ORDERS for k in (None, 0, 2))
 # The grid pairs with this many unit cosines also get a row-mixed copy, so the
 # guard covers the recovery of W from a pair that is not in normalized form.
 MIXED_UNIT_COSINES = 2
+# At these orders those pairs also get copies s (A, B) at each scale, by label:
+# the guard then covers pairs off unit scale that the Gram bound still accepts.
+SCALED_ORDERS = (5, 6, 64, 65)
+SCALES = {"1e-6": 1e-6, "1e2": 1e2}
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures")
 FORMATS = ("json", "text")
 # generate runs that end in a usage error (exit 2), by name.
@@ -99,14 +105,19 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _write_copy(input_dir, name, source, transform):
+    """Write ``name``: ``transform`` applied to A and to B of the pair in ``source``."""
+    os.makedirs(os.path.join(input_dir, name))
+    for side in "AB":
+        matrix = parse_matrix_file(os.path.join(input_dir, source, f"{side}.json"))
+        write_matrix_file(os.path.join(input_dir, name, f"{side}.json"), transform(matrix))
+
+
 def _write_mixed(input_dir, m, source):
     """Write ``mixed-m{m}``: G (A, B) of the pair in ``source``, G seeded by m with singular values in [0.5, 2]."""
     rng = np.random.default_rng(m)
     g = haar_unitary(m, rng) @ np.diag(rng.uniform(0.5, 2.0, m)) @ haar_unitary(m, rng)
-    os.makedirs(os.path.join(input_dir, f"mixed-m{m}"))
-    for side in "AB":
-        matrix = parse_matrix_file(os.path.join(input_dir, source, f"{side}.json"))
-        write_matrix_file(os.path.join(input_dir, f"mixed-m{m}", f"{side}.json"), g @ matrix)
+    _write_copy(input_dir, f"mixed-m{m}", source, lambda matrix: g @ matrix)
 
 
 def make_inputs(input_dir, grid=GRID):
@@ -120,6 +131,8 @@ def make_inputs(input_dir, grid=GRID):
             raise RuntimeError(f"generate {_name(m, k)} failed: {result.stdout!r}")
         if k == MIXED_UNIT_COSINES:
             _write_mixed(input_dir, m, _name(m, k))
+            for label, scale in SCALES.items() if m in SCALED_ORDERS else ():
+                _write_copy(input_dir, f"scaled-m{m}-s{label}", _name(m, k), lambda matrix: scale * matrix)
     for stem in ("dirichlet", "w_identity"):
         os.makedirs(os.path.join(input_dir, stem))
         for side in "AB":

@@ -38,7 +38,6 @@ from .forms import (
     BoundaryPair,
     canonical_decompose,
     check_self_adjoint,
-    construct_from_W,
     generate_random_pair,
 )
 from .linalg import DEFAULT_TOL, Tolerances, row_space_angles
@@ -127,23 +126,28 @@ def _load_form(args):
     return pair, canonical_decompose(pair, tol)
 
 
+def _rank_block(form) -> dict:
+    """classify's rank keys: r, rank_A, rank_B, null_count at odd order; rank_S, rank_A, rank_B at even order."""
+    if form.spec.is_odd_order:
+        return {"r": form.r, "rank_A": form.rank, "rank_B": form.rank, "null_count": form.null_count}
+    return {"rank_S": form.rank_S, "rank_A": form.rank, "rank_B": form.rank}
+
+
 def _cmd_canon(args) -> tuple[Report, int]:
     pair, form = _load_form(args)
-    spec = pair.spec
-    metrics = {"m": spec.m, "n": spec.n}
+    spec, ab = pair.spec, pair.stacked()
+    # The factorization applied to the input: P (1/sqrt 2) Q1 core Q2 = P (I : W) V* at odd order.
+    product = form.P @ form.reconstruct() if spec.is_odd_order else form.reconstruct()
     if spec.is_odd_order:
-        normalized = construct_from_W(form.W, spec)
-        product = form.reconstruct()
-        metrics["reconstruction_residual"] = float(np.linalg.norm(product - normalized.stacked()))
-        metrics["row_space_angle_max"] = float(np.max(row_space_angles(product, pair.stacked())))
-        metrics.update(null_count=form.null_count, rank_A=form.rank, rank_B=form.rank, r=form.r)
         factors = {"Q1": form.Q1, "Q2": form.Q2, "Q3": form.Q3, "Q4": form.Q4, "core": form.core, "K": form.K}
     else:
-        metrics["reconstruction_residual"] = float(np.linalg.norm(form.reconstruct() - pair.stacked()))
-        metrics["rank_S"] = form.rank_S
         cs = form.cs
         factors = {"U": form.U, "middle": form.middle, "Z": form.Z, "V1": cs.v1, "U1": cs.u1, "U2": cs.u2, "V2": cs.v2}
     factors.update(W=form.W, C_diag=form.cos.reshape(1, -1), S_diag=form.sin.reshape(1, -1))
+    residual = float(np.linalg.norm(product - ab) / np.linalg.norm(ab))
+    angle = float(np.max(row_space_angles(product, ab)))
+    metrics = {"m": spec.m, "n": spec.n, "reconstruction_residual": residual, "row_space_angle_max": angle}
+    metrics.update(_rank_block(form))
     out = Report(command="canon", inputs=[args.A, args.B], verdict=form.classification.value, metrics=metrics)
     _write_factors(args.out, factors, out)
     return out, EXIT_OK
@@ -151,11 +155,7 @@ def _cmd_canon(args) -> tuple[Report, int]:
 
 def _cmd_classify(args) -> tuple[Report, int]:
     pair, form = _load_form(args)
-    odd = pair.spec.is_odd_order
-    offset = {"r": form.r} if odd else {"rank_S": form.rank_S}
-    metrics = {"m": pair.spec.m, **offset, "rank_A": form.rank, "rank_B": form.rank}
-    if odd:
-        metrics["null_count"] = form.null_count
+    metrics = {"m": pair.spec.m, **_rank_block(form)}
     out = Report(command="classify", inputs=[args.A, args.B], verdict=form.classification.value, metrics=metrics)
     return out, EXIT_OK
 

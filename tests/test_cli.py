@@ -4,12 +4,16 @@ import inspect
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bccanon
-from bccanon import ConvergenceFailure, matio, symplectic_matrix
+from bccanon import ConvergenceFailure, OrderSpec, generate_random_pair, matio, symplectic_matrix
 from bccanon.cli import main, run_command
 from bccanon.matio import parse_matrix_file, payload_to_matrix, write_matrix_file
 from bccanon.selftest import run_selftest
@@ -201,6 +205,39 @@ class TestCanon:
         assert report.verdict == "separated"
         for name in ("U", "middle", "Z", "W", "C_diag", "S_diag"):
             assert (out / f"{name}.json").exists()
+
+    # Above s = 1e3 the absolute Gram bound of the self-adjointness check
+    # (residual_abs = 1e-8) starts to reject these pairs, so the scales stop there.
+    @given(m=st.integers(2, 9), seed=st.integers(0, 2**16), log_s=st.floats(-8.0, 3.0), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_health_figures_are_scale_free(self, m, seed, log_s, data):
+        k = data.draw(st.integers(0, m // 2), label="k")
+        pair = generate_random_pair(OrderSpec.from_order(m), seed, target_unit_cosines=k)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [str(Path(tmp) / f"{side}.json") for side in "AB"]
+            for path, matrix in zip(paths, (pair.A, pair.B)):
+                write_matrix_file(path, 10.0**log_s * matrix)
+            report, code = run_command(["canon", *paths, "--out", str(Path(tmp) / "f")])
+        assert code == 0, report.verdict
+        assert report.metrics["reconstruction_residual"] <= 1e-12
+        assert report.metrics["row_space_angle_max"] <= 1e-8
+
+    @pytest.mark.parametrize("order", [5, 6, 20, 21])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_rank_block_matches_classify(self, tmp_path, capsys, order, k):
+        argv = ["generate", "--order", str(order), "--seed", "9", "--unit-cosines", str(k), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        pair = [str(tmp_path / "A.json"), str(tmp_path / "B.json")]
+        capsys.readouterr()
+        assert main(["classify", *pair]) == 0
+        classify = capsys.readouterr().out.splitlines()
+        assert main(["canon", *pair, "--out", str(tmp_path / "f")]) == 0
+        canon = capsys.readouterr().out.splitlines()
+        block = classify[classify.index(f"m = {order}") + 1 :]
+        keys = ["r", "rank_A", "rank_B", "null_count"] if order % 2 else ["rank_S", "rank_A", "rank_B"]
+        assert [line.split(" = ")[0] for line in block] == keys
+        start = canon.index(block[0])
+        assert canon[start : start + len(block)] == block
 
 
 class TestClassifySvdCalls:

@@ -121,6 +121,26 @@ class TestRowSpaceAngles:
         b[0, 2] = b[1, 3] = 1.0
         assert np.min(row_space_angles(a, b)) == pytest.approx(np.pi / 2)
 
+    @pytest.mark.parametrize("m", [3, 64, 201])
+    def test_matches_svd_basis_reference(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+        tilt = 0.1 * (rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m)))
+
+        def mixed(y):
+            return random_unitary(m, rng.integers(2**31)) @ np.diag(rng.uniform(0.5, 2.0, m)) @ y
+
+        def reference(m1, m2):  # orthonormal row bases from full SVDs
+            q1 = np.linalg.svd(m1, full_matrices=False)[2]
+            q2 = np.linalg.svd(m2, full_matrices=False)[2]
+            sines = np.linalg.svd(q2 - (q2 @ q1.conj().T) @ q1, compute_uv=False)
+            return np.sort(np.arcsin(np.clip(sines, -1.0, 1.0)))
+
+        for m1, m2 in ((mixed(x), mixed(x)), (mixed(x), mixed(x + tilt))):
+            angles = row_space_angles(m1, m2)
+            assert angles.shape == (m,)
+            assert np.max(np.abs(angles - reference(m1, m2))) <= 1e-13
+
 
 needs_openblas = pytest.mark.skipif(linalg._openblas_threads() is None, reason="numpy's OpenBLAS not found")
 

@@ -22,10 +22,11 @@ def test_output_digest_smoke(tmp_path):
     script = load_script("output_digest")
     inputs = tmp_path / "inputs"
     runs = script.digest(str(inputs), grid=((5, 2),))
-    assert sorted(p.name for p in inputs.iterdir()) == ["dirichlet", "m5-k2", "mixed-m5", "w_identity"]
+    scaled = [f"scaled-m5-s{label}" for label in script.SCALES]
+    assert sorted(p.name for p in inputs.iterdir()) == ["dirichlet", "m5-k2", "mixed-m5", *scaled, "w_identity"]
     expected = {f"generate {g} {fmt}" for g in ("m5-k2", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
-                 for i in ("dirichlet", "m5-k2", "mixed-m5", "w_identity") for fmt in ("json", "text")}
+                 for i in ("dirichlet", "m5-k2", "mixed-m5", *scaled, "w_identity") for fmt in ("json", "text")}
     expected |= {f"{c} mixed-m5 --tol {script.TIGHT_TOL} {fmt}" for c in ("check", "classify", "canon")
                  for fmt in ("json", "text")}
     expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
