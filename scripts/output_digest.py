@@ -5,18 +5,18 @@ Usage: python scripts/output_digest.py INPUT_DIR OUT.json
 
 On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
-each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies
-s (A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
+each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies s
+(A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
 ``SCALES``, and the ``dirichlet`` and ``w_identity`` fixtures; later runs
-reuse whatever INPUT_DIR holds, so two commits digest the same inputs.
-For each input the script runs ``check``, ``classify`` and ``canon``, on
-each mixed copy also with ``--tol TIGHT_TOL``, which fails some of them;
-it runs ``generate`` at
-each grid point and with each argument list of ``GENERATE_ERRORS``, which
-must fail with a usage error (one passes ``--tol``, which only the pair
-commands take), ``check`` on each malformed file of ``PARSE_ERRORS`` (raw
-bytes, not all of them UTF-8), which must fail with an input error, and
-``selftest`` with each argument list of ``SELFTESTS``.
+reuse whatever INPUT_DIR holds, so two commits digest the same inputs.  For
+each input the script runs ``check``, ``classify`` and ``canon``, on each
+mixed copy also with ``--tol TIGHT_TOL``, which fails some of them; it runs
+``generate`` at each grid point and with each argument list of
+``GENERATE_ERRORS``, which must fail with a usage error (one passes
+``--tol``, which only the pair commands take), ``check`` on each malformed
+file of ``PARSE_ERRORS`` (raw bytes, not all of them UTF-8), which must
+fail with an input error, and ``selftest`` with each argument list of
+``SELFTESTS``.
 Every run is made in ``--format json`` and ``text``.  OUT.json maps each run
 to its exit code, the SHA-256 of its stdout and the SHA-256 of every file it
 wrote.
