@@ -23,7 +23,7 @@ factor is read.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -85,11 +85,11 @@ class BoundaryPair:
     """Pair (A, B) of m x m complex matrices with its order bookkeeping.
 
     Immutable: A and B are private read-only copies.  The read-only
-    (A : B), its Gram residual and singular values, and the singular values
-    of A and of B are each computed once, on first use, for every check and
-    decomposition of the pair; from m = 64 up those values-only SVDs run on
-    one OpenBLAS thread (see the README's performance notes).  ``spec``
-    defaults to A's size.
+    (A : B), its Gram residual and singular values are computed once, on
+    first use, and the singular values of A and of B once, on the first read
+    of a report's ``rank_A`` or ``rank_B``; from m = 64 up those values-only
+    SVDs run on one OpenBLAS thread (see the README's performance notes).
+    ``spec`` defaults to A's size.
     """
 
     A: np.ndarray
@@ -140,18 +140,38 @@ class BoundaryPair:
 
 @dataclass(frozen=True)
 class SelfAdjointReport:
-    """Outcome of the rank + Gram self-adjointness criterion."""
+    """Outcome of the rank + Gram self-adjointness criterion for the pair ``_pair``.
+
+    ``rank_A`` and ``rank_B``, diagnostics the verdict does not use, come from the
+    pair's stacked SVD of A and B, run on the first read; ``==`` and ``repr`` read them.
+    """
 
     rank_AB: int
     rank_ok: bool
     gram_residual: float
     gram_ok: bool
-    rank_A: int
-    rank_B: int
+    _pair: BoundaryPair = field(compare=False)
 
     @property
     def ok(self) -> bool:
         return self.rank_ok and self.gram_ok
+
+    @property
+    def rank_A(self) -> int:
+        return relative_rank(self._pair._block_singular_values[0])
+
+    @property
+    def rank_B(self) -> int:
+        return relative_rank(self._pair._block_singular_values[1])
+
+    def _items(self) -> tuple:
+        return tuple((k, getattr(self, k)) for k in ("rank_AB", "rank_ok", "gram_residual", "gram_ok", "rank_A", "rank_B"))
+
+    def __eq__(self, other):
+        return self._items() == other._items() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._items())})"
 
 
 def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
@@ -164,15 +184,10 @@ def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
 def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
     """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises.
 
-    Each call applies its own ``tol`` to the pair's cached measurement.
-    rank A and rank B are reported as diagnostics; the verdict does not use them.
+    Each call applies its own ``tol`` to the pair's cached measurement, which
+    runs one SVD, of (A : B).  rank A and rank B are measured only when read.
     """
-    sigma_a, sigma_b = pair._block_singular_values
-    return SelfAdjointReport(
-        *_self_adjoint_criterion(pair, tol),
-        rank_A=relative_rank(sigma_a),
-        rank_B=relative_rank(sigma_b),
-    )
+    return SelfAdjointReport(*_self_adjoint_criterion(pair, tol), pair)
 
 
 def _coupling_unitary(w, spec: OrderSpec) -> np.ndarray:

@@ -526,25 +526,47 @@ class TestMeasuredOnce:
             cs.core[0, 0] = 0.0
 
     @pytest.mark.parametrize("m", [5, 6])
-    def test_check_then_decompose_runs_three_svds(self, count_svds, m):
+    def test_check_then_decompose_runs_two_svds(self, count_svds, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
         calls = count_svds()
         check_self_adjoint(pair)
         canonical_decompose(pair)
-        # (A : B) and the stack of A and B for the check; one corner block for the rank.
-        # W is solved for, with no SVD.
-        assert len(calls) == 3, calls
+        # (A : B) for the check; one corner block for the rank.  W is solved
+        # for, with no SVD, and no rank of A or B is read.
+        assert len(calls) == 2, calls
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_second_check_runs_no_svd(self, count_svds, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
         calls = count_svds()
         first = check_self_adjoint(pair)
-        assert len(calls) == 2, calls
-        assert check_self_adjoint(pair) == first
-        assert len(calls) == 2, calls
+        assert len(calls) == 1, calls
+        second = check_self_adjoint(pair)
+        assert len(calls) == 1, calls
         canonical_decompose(pair)
+        assert len(calls) == 2, calls
+        # == reads rank A and rank B: the pair's one stacked SVD of A and B.
+        assert second == first
         assert len(calls) == 3, calls
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_reading_a_rank_runs_one_stacked_svd(self, count_svds, m):
+        pair = generate_random_pair(OrderSpec.from_order(m), 3, target_unit_cosines=1)
+        report = check_self_adjoint(pair)
+        calls = count_svds()
+        assert report.rank_A == m - 1
+        assert calls == [(2, m, m)]
+        assert report.rank_B == m - 1 and report.rank_A == m - 1
+        assert check_self_adjoint(pair, Tolerances(residual_abs=0.5)).rank_B == m - 1
+        assert calls == [(2, m, m)]
+
+    def test_reports_that_differ_only_in_rank_a_and_rank_b_are_unequal(self):
+        # Both read rank (A : B) = 2 and Gram residual 0.0; rank A is 2 and 1.
+        full = check_self_adjoint(BoundaryPair.from_matrices(np.eye(2), np.eye(2)))
+        split = check_self_adjoint(BoundaryPair.from_matrices(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        assert (full.rank_AB, full.gram_residual, full.ok) == (split.rank_AB, split.gram_residual, split.ok) == (2, 0.0, True)
+        assert (full.rank_A, full.rank_B, split.rank_A, split.rank_B) == (2, 2, 1, 1)
+        assert full != split and repr(full) != repr(split)
 
     def test_stacked_is_one_read_only_array(self):
         pair = generate_random_pair(SPEC5, 2)
@@ -570,6 +592,39 @@ class TestMeasuredOnce:
             reports = [check_self_adjoint(pair, tol) for tol in tols]
             assert [(r.rank_A, r.rank_B) for r in reports] == [ranks] * 3
             assert [r.gram_ok for r in reports] == [True, True, False]
+
+    @given(
+        m=st.integers(2, 9),
+        kind=st.sampled_from(["self-adjoint", "row-mixed", "random"]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.permutations(["rank_A", "rank_B", "decompose", "recheck"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ranks_match_numerical_rank_in_every_read_order(self, m, kind, seed, steps):
+        # Reads before and after the decomposition, and on a second report under another tolerance.
+        spec = OrderSpec.from_order(m)
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            a, b = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+        else:
+            normalized = generate_random_pair(spec, seed, target_unit_cosines=int(rng.integers(spec.n + 1)))
+            g = conditioned_invertible(m, rng) if kind == "row-mixed" else np.eye(m)
+            a, b = g @ normalized.A, g @ normalized.B
+        pair = BoundaryPair(A=a, B=b, spec=spec)
+        expected = {"rank_A": numerical_rank(pair.A), "rank_B": numerical_rank(pair.B)}
+        reports = [check_self_adjoint(pair)]
+        for step in steps:
+            if step == "decompose":
+                if kind == "random":
+                    with pytest.raises(NotSelfAdjoint):
+                        canonical_decompose(pair)
+                else:
+                    canonical_decompose(pair)
+            elif step == "recheck":
+                reports.append(check_self_adjoint(pair, Tolerances(residual_abs=0.5)))
+            else:
+                assert getattr(reports[-1], step) == expected[step]
+        assert [(r.rank_A, r.rank_B) for r in reports] == [(expected["rank_A"], expected["rank_B"])] * 2
 
 
 def _unitary_with_sines(spec, sin, rng):
