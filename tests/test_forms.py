@@ -605,7 +605,11 @@ class TestMeasuredOnce:
         spec = OrderSpec.from_order(m)
         rng = np.random.default_rng(seed)
         if kind == "random":
-            a, b = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in range(2))
+            # A and B of random ranks, so that rank A and rank B differ in general.
+            def gauss(*shape):
+                return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+            a, b = (gauss(m, r) @ gauss(r, m) for r in rng.integers(0, m + 1, 2))
         else:
             normalized = generate_random_pair(spec, seed, target_unit_cosines=int(rng.integers(spec.n + 1)))
             g = conditioned_invertible(m, rng) if kind == "row-mixed" else np.eye(m)
