@@ -39,6 +39,7 @@ from .linalg import (
     DEFAULT_TOL,
     UNITARY_ABS,
     Tolerances,
+    _row_rank,
     _svdvals,
     as_complex_matrix,
     block_diag,
@@ -85,10 +86,11 @@ class BoundaryPair:
     """Pair (A, B) of m x m complex matrices with its order bookkeeping.
 
     Immutable: A and B are private read-only copies.  The read-only
-    (A : B), its Gram residual and singular values are computed once, on
-    first use, and the singular values of A and of B once, on the first read
-    of a report's ``rank_A`` or ``rank_B``; from m = 64 up those values-only
-    SVDs run on one OpenBLAS thread (see the README's performance notes).
+    (A : B), its Gram residual and its rank (one Cholesky of its shifted
+    Gram matrix; the SVD only when that fails) are computed once, on first
+    use, and the singular values of A and of B once, on the first read of a
+    report's ``rank_A`` or ``rank_B``; from m = 64 up the values-only SVDs
+    run on one OpenBLAS thread (see the README's performance notes).
     ``spec`` defaults to A's size.
     """
 
@@ -122,14 +124,14 @@ class BoundaryPair:
         return ab
 
     @cached_property
-    def _criterion_numbers(self) -> tuple[float, np.ndarray]:
-        """(||A C_m A* - B C_m B*||_F, inf or nan on overflow; singular values of (A : B))."""
+    def _criterion_numbers(self) -> tuple[float, int]:
+        """(||A C_m A* - B C_m B*||_F, inf or nan on overflow; rank (A : B))."""
         # C_m is antidiagonal, so X @ C_m is X's columns reversed and signed.
         signs = symplectic_matrix(self.spec.m)[::-1].diagonal()
         a_c, b_c = self.A[:, ::-1] * signs, self.B[:, ::-1] * signs
         with np.errstate(over="ignore", invalid="ignore"):
             residual = float(np.linalg.norm(a_c @ self.A.conj().T - b_c @ self.B.conj().T))
-        return residual, _svdvals(self.stacked())
+        return residual, _row_rank(self.stacked())
 
     @cached_property
     def _block_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -175,17 +177,17 @@ class SelfAdjointReport:
 
 
 def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
-    """(rank (A : B), rank ok, Gram residual, Gram ok): ``tol`` applied to the pair's cached numbers."""
-    gram_residual, sigma_ab = pair._criterion_numbers
-    rank_ab = relative_rank(sigma_ab)
+    """(rank (A : B), rank ok, Gram residual, Gram ok): ``tol`` applied to the pair's cached residual and rank."""
+    gram_residual, rank_ab = pair._criterion_numbers
     return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
 
 
 def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
     """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises.
 
-    Each call applies its own ``tol`` to the pair's cached measurement, which
-    runs one SVD, of (A : B).  rank A and rank B are measured only when read.
+    Each call applies its own ``tol`` to the pair's cached measurement: one
+    Cholesky certifies rank (A : B) = m, and the SVD of (A : B) runs only
+    when it fails.  rank A and rank B are measured only when read.
     """
     return SelfAdjointReport(*_self_adjoint_criterion(pair, tol), pair)
 

@@ -46,6 +46,9 @@ UNITARY_ABS = 1e-10  # max absolute deviation of U*U from the identity
 _SERIAL_SVD_MIN = 64
 _BLAS_THREADS_LOCK = threading.Lock()
 
+# _row_rank's diagonal shift per unit of m^2 tr(x x*), and the least (normal) shift it uses.
+_GRAM_SHIFT, _GRAM_SHIFT_MIN = 64 * np.finfo(float).eps, np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -180,6 +183,31 @@ def numerical_rank(m) -> int:
     if m.size == 0:
         return 0
     return relative_rank(_svdvals(m))
+
+
+def _row_rank(x: np.ndarray) -> int:
+    """``relative_rank(_svdvals(x))`` for an m x k ``x``, m <= k, with no SVD when the rank is m.
+
+    A Cholesky of x x* - delta I, delta = 64 m^2 eps tr(x x*), that succeeds
+    proves sigma_m / sigma_1 >= about 8 m sqrt(eps), far above ``RANK_REL``:
+    forming and factoring x x* err backwards by at most c0 m^2 eps tr(x x*),
+    c0 well below 64 (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, Thms 10.3-10.5).  The SVD runs when the factorization fails or
+    delta is not a finite normal number (x near overflow or underflow).
+    """
+    m = x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x @ x.conj().T
+        diagonal = gram.reshape(-1)[:: m + 1]  # a view: gram is a fresh C-contiguous array
+        shift = _GRAM_SHIFT * m * m * diagonal.real.sum()
+    if _GRAM_SHIFT_MIN <= shift < np.inf:
+        diagonal -= shift
+        try:
+            np.linalg.cholesky(gram)
+            return m
+        except np.linalg.LinAlgError:
+            pass
+    return relative_rank(_svdvals(x))
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

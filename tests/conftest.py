@@ -13,22 +13,31 @@ def fixtures_dir():
     return FIXTURES
 
 
-@pytest.fixture
-def count_svds(monkeypatch):
-    """A function that starts recording the input shape of every ``np.linalg.svd`` call and returns the record."""
+def _call_recorder(monkeypatch, name):
+    """A function that starts recording the input shape of every ``np.linalg.<name>`` call and returns the record."""
 
     def start():
         calls = []
-        svd = np.linalg.svd
+        original = getattr(np.linalg, name)
 
         def counting(*args, **kwargs):
             calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
         return calls
 
     return start
+
+
+@pytest.fixture
+def count_svds(monkeypatch):
+    return _call_recorder(monkeypatch, "svd")
+
+
+@pytest.fixture
+def count_choleskys(monkeypatch):
+    return _call_recorder(monkeypatch, "cholesky")
 
 
 @pytest.fixture

@@ -241,16 +241,17 @@ class TestCanon:
 
 
 class TestClassifySvdCalls:
-    """classify reads every rank off W: one SVD for rank (A : B) and one of a corner block; W needs none."""
+    """classify reads every rank off W: one SVD of a corner block.  A Cholesky certifies rank (A : B); W needs none."""
 
     @pytest.mark.parametrize("order", [20, 21])
-    def test_four_svds(self, tmp_path, count_svds, order):
+    def test_one_svd(self, tmp_path, count_svds, count_choleskys, order):
         _, code = run_command(["generate", "--order", str(order), "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
-        calls = count_svds()
+        calls, factorizations = count_svds(), count_choleskys()
         report, code = run_command(["classify", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
         assert code == 0
-        assert len(calls) == 2, calls
+        assert len(calls) == 1, calls
+        assert factorizations == [(order, order)]
         assert report.metrics["rank_A"] == report.metrics["rank_B"] == order
 
     def test_singular_coefficients_fall_back_and_exit_three(self, tmp_path, count_svds, ill_conditioned_pair):

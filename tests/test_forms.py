@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ class TestCheckSelfAdjoint:
         report = check_self_adjoint(pair)
         assert report.ok
         assert report.gram_residual < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 3, 64])
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales_warn_nothing(self, m, scale):
+        # At 1e200 the Gram residual and x x* overflow; at 1e-200 x x* underflows to zero.
+        pair = BoundaryPair.from_matrices(scale * np.eye(m), scale * np.eye(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_self_adjoint(pair)
+        assert report.rank_AB == m
+        assert report.gram_ok is (scale < 1.0)
 
 
 class TestConstructFromW:
@@ -526,28 +538,30 @@ class TestMeasuredOnce:
             cs.core[0, 0] = 0.0
 
     @pytest.mark.parametrize("m", [5, 6])
-    def test_check_then_decompose_runs_two_svds(self, count_svds, m):
+    def test_check_then_decompose_runs_one_svd(self, count_svds, count_choleskys, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
-        calls = count_svds()
+        calls, factorizations = count_svds(), count_choleskys()
         check_self_adjoint(pair)
         canonical_decompose(pair)
-        # (A : B) for the check; one corner block for the rank.  W is solved
-        # for, with no SVD, and no rank of A or B is read.
-        assert len(calls) == 2, calls
+        # One corner block for the rank.  rank (A : B) = m is certified by a
+        # Cholesky of its Gram matrix, W is solved for, with no SVD, and no
+        # rank of A or B is read.
+        assert len(calls) == 1, calls
+        assert factorizations == [(m, m)]
 
     @pytest.mark.parametrize("m", [5, 6])
-    def test_second_check_runs_no_svd(self, count_svds, m):
+    def test_second_check_runs_no_svd(self, count_svds, count_choleskys, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
-        calls = count_svds()
+        calls, factorizations = count_svds(), count_choleskys()
         first = check_self_adjoint(pair)
-        assert len(calls) == 1, calls
+        assert (len(calls), len(factorizations)) == (0, 1), (calls, factorizations)
         second = check_self_adjoint(pair)
-        assert len(calls) == 1, calls
+        assert (len(calls), len(factorizations)) == (0, 1), (calls, factorizations)
         canonical_decompose(pair)
-        assert len(calls) == 2, calls
+        assert (len(calls), len(factorizations)) == (1, 1), (calls, factorizations)
         # == reads rank A and rank B: the pair's one stacked SVD of A and B.
         assert second == first
-        assert len(calls) == 3, calls
+        assert (len(calls), len(factorizations)) == (2, 1), (calls, factorizations)
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_reading_a_rank_runs_one_stacked_svd(self, count_svds, m):

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bccanon import (
+    BoundaryPair,
+    OrderSpec,
     Tolerances,
+    check_self_adjoint,
+    generate_random_pair,
+    haar_unitary,
     numerical_rank,
     random_unitary,
     row_space_angles,
@@ -231,3 +236,60 @@ class TestSerialSvdScope:
             assert relative_rank(linalg._svdvals(x)) == relative_rank(plain)
             assert numerical_rank(x) == relative_rank(plain)
             assert unit_rank(x) == int(np.count_nonzero(plain > RANK_REL))
+
+
+def _wide(m: int, kind: str, exponent: int, rng: np.random.Generator) -> np.ndarray:
+    """An m x 2m matrix of the given kind, scaled by 10**exponent."""
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "zero":
+        x = np.zeros((m, 2 * m), dtype=complex)
+    elif kind == "full":
+        x = gauss(m, 2 * m)
+    elif kind == "deficient":
+        r = int(rng.integers(0, m))
+        x = gauss(m, r) @ gauss(r, 2 * m)
+    else:
+        if kind == "graded":
+            sigma = 10.0 ** rng.uniform(-14, 0, m)
+        else:  # one singular value inside the band around the cutoff
+            sigma = rng.uniform(0.1, 1.0, m)
+            sigma[0], sigma[-1] = 1.0, 10.0 ** rng.uniform(-11, -9)
+        x = (haar_unitary(m, rng) * sigma) @ haar_unitary(2 * m, rng)[:m]
+    return x * 10.0**exponent
+
+
+class TestRowRank:
+    """linalg._row_rank certifies full row rank by a shifted Cholesky and otherwise reads the SVD."""
+
+    kinds = st.sampled_from(["full", "deficient", "zero", "graded", "band"])
+    exponents = st.sampled_from([0, 8, -8, 150, -150, 200, -200])
+
+    @given(m=st.integers(1, 13), kind=kinds, exponent=exponents, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_svd_rule(self, m, kind, exponent, seed):
+        x = _wide(m, kind, exponent, np.random.default_rng(seed))
+        assert linalg._row_rank(x) == relative_rank(np.linalg.svd(x, compute_uv=False))
+
+    @given(m=st.sampled_from([64, 129]), kind=kinds, exponent=exponents, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_svd_rule_at_large_m(self, m, kind, exponent, seed):
+        x = _wide(m, kind, exponent, np.random.default_rng(seed))
+        assert linalg._row_rank(x) == relative_rank(np.linalg.svd(x, compute_uv=False))
+
+    @pytest.mark.parametrize("ratio", [1e-9, 1e-7])
+    def test_margin_below_the_shift_reaches_the_svd(self, count_svds, count_choleskys, ratio):
+        # (A : B) of a normalized pair has orthogonal rows of equal norm, so mixing it by G gives
+        # sigma_m / sigma_1 = 1 / cond G.  At 1e-7 the Gram matrix factors without the shift, so
+        # this fails when the shift is not applied.
+        spec = OrderSpec(5)
+        normalized = generate_random_pair(spec, 7)
+        rng = np.random.default_rng(7)
+        g = (haar_unitary(5, rng) * np.logspace(0, np.log10(ratio), 5)) @ haar_unitary(5, rng)
+        pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+        calls, factorizations = count_svds(), count_choleskys()
+        report = check_self_adjoint(pair)
+        assert report.rank_AB == 5 and report.ok
+        assert calls == [(5, 10)] and factorizations == [(5, 5)]
