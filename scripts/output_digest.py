@@ -7,7 +7,9 @@ On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
 each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies s
 (A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
-``SCALES``, and the ``dirichlet`` and ``w_identity`` fixtures; later runs
+``SCALES``, copies with a repeated row at ``REPEATED_ROW_ORDERS``, a
+row-mixed copy with cond G = 1e8 at ``ILL_MIXED_ORDERS``, and the
+``dirichlet`` and ``w_identity`` fixtures; later runs
 reuse whatever INPUT_DIR holds, so two commits digest the same inputs.  For
 each input the script runs ``check``, ``classify`` and ``canon``, on each
 mixed copy also with ``--tol TIGHT_TOL``, which fails some of them; it runs
@@ -47,6 +49,13 @@ MIXED_UNIT_COSINES = 2
 # the guard then covers pairs off unit scale that the Gram bound still accepts.
 SCALED_ORDERS = (5, 6, 64, 65)
 SCALES = {"1e-6": 1e-6, "1e2": 1e2}
+# At these orders those pairs also get a copy whose row 0 of (A : B) repeats row 1,
+# so rank (A : B) = m - 1: the guard covers the check's SVD fallback.
+REPEATED_ROW_ORDERS = (5, 64)
+# At these orders those pairs also get a row-mixed copy with cond G = 1e8: full
+# rank, but with a margin below the shift of the check's Cholesky certificate,
+# so the check falls back to the SVD there too.
+ILL_MIXED_ORDERS = (5,)
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures")
 FORMATS = ("json", "text")
 # generate runs that end in a usage error (exit 2), by name.
@@ -120,6 +129,13 @@ def _write_mixed(input_dir, m, source):
     _write_copy(input_dir, f"mixed-m{m}", source, lambda matrix: g @ matrix)
 
 
+def _write_ill_mixed(input_dir, m, source):
+    """Write ``ill-mixed-m{m}``: G (A, B) of the pair in ``source``, G seeded by (m, 8) with cond G = 1e8."""
+    rng = np.random.default_rng([m, 8])
+    g = (haar_unitary(m, rng) * np.logspace(0, -8, m)) @ haar_unitary(m, rng)
+    _write_copy(input_dir, f"ill-mixed-m{m}", source, lambda matrix: g @ matrix)
+
+
 def make_inputs(input_dir, grid=GRID):
     """Fill ``input_dir`` with one A.json/B.json directory per input, unless it has them."""
     os.makedirs(input_dir, exist_ok=True)
@@ -133,6 +149,10 @@ def make_inputs(input_dir, grid=GRID):
             _write_mixed(input_dir, m, _name(m, k))
             for label, scale in SCALES.items() if m in SCALED_ORDERS else ():
                 _write_copy(input_dir, f"scaled-m{m}-s{label}", _name(m, k), lambda matrix: scale * matrix)
+            if m in REPEATED_ROW_ORDERS:
+                _write_copy(input_dir, f"repeated-row-m{m}", _name(m, k), lambda matrix: matrix[[1, *range(1, m)]])
+            if m in ILL_MIXED_ORDERS:
+                _write_ill_mixed(input_dir, m, _name(m, k))
     for stem in ("dirichlet", "w_identity"):
         os.makedirs(os.path.join(input_dir, stem))
         for side in "AB":

@@ -23,10 +23,10 @@ def test_output_digest_smoke(tmp_path):
     inputs = tmp_path / "inputs"
     runs = script.digest(str(inputs), grid=((5, 2),))
     scaled = [f"scaled-m5-s{label}" for label in script.SCALES]
-    assert sorted(p.name for p in inputs.iterdir()) == ["dirichlet", "m5-k2", "mixed-m5", *scaled, "w_identity"]
+    names = ["dirichlet", "ill-mixed-m5", "m5-k2", "mixed-m5", "repeated-row-m5", *scaled, "w_identity"]
+    assert sorted(p.name for p in inputs.iterdir()) == names
     expected = {f"generate {g} {fmt}" for g in ("m5-k2", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
-    expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon")
-                 for i in ("dirichlet", "m5-k2", "mixed-m5", *scaled, "w_identity") for fmt in ("json", "text")}
+    expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon") for i in names for fmt in ("json", "text")}
     expected |= {f"{c} mixed-m5 --tol {script.TIGHT_TOL} {fmt}" for c in ("check", "classify", "canon")
                  for fmt in ("json", "text")}
     expected |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
@@ -39,7 +39,11 @@ def test_output_digest_smoke(tmp_path):
     errors = {f"generate {g} {fmt}" for g in script.GENERATE_ERRORS for fmt in ("json", "text")}
     errors |= {f"check {e} {fmt}" for e in script.PARSE_ERRORS for fmt in ("json", "text")}
     assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in errors)
-    assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for name, run in runs.items() if name not in errors)
+    # rank (A : B) = 4 on the repeated-row copy: check reports the criterion, classify and canon fail.
+    repeated = {f"{c} repeated-row-m5 {fmt}" for c in ("check", "classify", "canon") for fmt in ("json", "text")}
+    assert all(runs[name]["exit"] == (1 if name.startswith("check") else 3) for name in repeated)
+    passing = {name: run for name, run in runs.items() if name not in errors | repeated}
+    assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for run in passing.values())
     assert set(runs["generate m5-k2 json"]["files"]) == {"A.json", "B.json"}
     assert {"Q1.json", "manifest.json"} <= set(runs["canon m5-k2 text"]["files"])
     assert {"U.json", "manifest.json"} <= set(runs["canon dirichlet json"]["files"])
@@ -51,6 +55,12 @@ def test_output_digest_smoke(tmp_path):
     assert np.linalg.norm(g @ ab - mixed) < 1e-12
     sigma = np.linalg.svd(g, compute_uv=False)
     assert 0.5 <= sigma.min() and sigma.max() <= 2.0
+    # The ill-mixed copy is G (A : B) with cond G = 1e8; the repeated-row copy's row 0 repeats row 1.
+    ill, repeated_ab = (np.hstack([parse_matrix_file(str(inputs / d / f"{x}.json")) for x in "AB"])
+                        for d in ("ill-mixed-m5", "repeated-row-m5"))
+    sigma = np.linalg.svd(ill @ np.linalg.pinv(ab), compute_uv=False)
+    assert abs(sigma.max() / sigma.min() / 1e8 - 1.0) < 1e-6
+    assert np.array_equal(repeated_ab[0], ab[1]) and np.array_equal(repeated_ab[1:], ab[1:])
     # The generated input is the pair the digest's own generate run wrote.
     a_sha = script._sha((inputs / "m5-k2" / "A.json").read_bytes())
     assert runs["generate m5-k2 text"]["files"]["A.json"] == a_sha
