@@ -32,7 +32,6 @@ from .forms import (
     check_self_adjoint,
     construct_even_from_W,
     construct_from_W,
-    coupling_block_ranks,
     even_canonical_decompose,
     generate_random_pair,
     recover_W,
@@ -81,7 +80,6 @@ __all__ = [
     "check_self_adjoint",
     "construct_even_from_W",
     "construct_from_W",
-    "coupling_block_ranks",
     "cs_core",
     "cs_decompose",
     "cs_reconstruct",

@@ -29,12 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .csd import CsFactors, cs_decompose, cs_reconstruct
-from .errors import (
-    ConvergenceFailure,
-    InvalidTarget,
-    NotSelfAdjoint,
-    RankDeficient,
-)
+from .errors import InvalidTarget, NotSelfAdjoint, RankDeficient
 from .linalg import (
     DEFAULT_TOL,
     UNITARY_ABS,
@@ -67,7 +62,6 @@ __all__ = [
     "construct_even_from_W",
     "recover_W",
     "canonical_decompose",
-    "coupling_block_ranks",
     "generate_random_pair",
     "even_canonical_decompose",
 ]
@@ -85,13 +79,14 @@ class Classification(enum.Enum):
 class BoundaryPair:
     """Pair (A, B) of m x m complex matrices with its order bookkeeping.
 
-    Immutable: A and B are private read-only copies.  The read-only
-    (A : B), its Gram residual and its rank (one Cholesky of its shifted
-    Gram matrix; the SVD only when that fails) are computed once, on first
-    use, and the singular values of A and of B once, on the first read of a
-    report's ``rank_A`` or ``rank_B``; from m = 64 up the values-only SVDs
-    run on one OpenBLAS thread (see the README's performance notes).
-    ``spec`` defaults to A's size.
+    Immutable: the pair keeps one private read-only copy of (A : B), and
+    A and B are its column halves (views, not C-contiguous).  The Gram
+    residual and rank (A : B) (one Cholesky of its shifted Gram matrix; the
+    SVD only when that fails) are computed once, on first use, and the
+    singular values of A and of B once, on the first read of a report's
+    ``rank_A`` or ``rank_B``; from m = 64 up the values-only SVDs run on one
+    OpenBLAS thread (see the README's performance notes).  ``spec``
+    defaults to A's size.
     """
 
     A: np.ndarray
@@ -99,13 +94,14 @@ class BoundaryPair:
     spec: OrderSpec | None = None
 
     def __post_init__(self):
-        a, b = (as_complex_matrix(np.array(x, dtype=complex)) for x in (self.A, self.B))
+        a, b = as_complex_matrix(self.A), as_complex_matrix(self.B)
         spec = OrderSpec.from_order(a.shape[0]) if self.spec is None else self.spec
         m = spec.m
         if a.shape != (m, m) or b.shape != (m, m):
             raise ValueError(f"expected two {m} x {m} matrices, got {a.shape} and {b.shape}")
-        a.flags.writeable = b.flags.writeable = False
-        for name, value in (("A", a), ("B", b), ("spec", spec)):
+        ab = np.hstack([a, b])
+        ab.flags.writeable = False
+        for name, value in (("A", ab[:, :m]), ("B", ab[:, m:]), ("spec", spec), ("_ab", ab)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -115,13 +111,7 @@ class BoundaryPair:
 
     def stacked(self) -> np.ndarray:
         """The m x 2m concatenation (A : B); the same read-only array on every call."""
-        return self._stacked
-
-    @cached_property
-    def _stacked(self) -> np.ndarray:
-        ab = np.hstack([self.A, self.B])
-        ab.flags.writeable = False
-        return ab
+        return self._ab
 
     @cached_property
     def _criterion_numbers(self) -> tuple[float, int]:
@@ -192,26 +182,20 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     return SelfAdjointReport(*_self_adjoint_criterion(pair, tol), pair)
 
 
-def _coupling_unitary(w, spec: OrderSpec) -> np.ndarray:
-    """``w`` as a complex matrix; ValueError unless finite and m x m, NotUnitary above ``UNITARY_ABS``."""
-    w = as_complex_matrix(w)
-    m = spec.m
-    if w.shape != (m, m):
-        raise ValueError(f"W must be {m} x {m}, got {w.shape}")
-    require_unitary(w)
-    return w
-
-
 def construct_from_W(w, spec: OrderSpec) -> BoundaryPair:
     """Normalized self-adjoint pair (V11* + W V12* : V21* + W V22*) = (I : W) V*.
 
     V is the eigenbasis of either parity (:func:`~bccanon.structure.eigenbasis`).
     Every unitary W yields a self-adjoint pair, and every self-adjoint pair
-    is row-equivalent to exactly one pair of this form.  Raises NotUnitary
-    when W's unitarity residual exceeds ``UNITARY_ABS``.
+    is row-equivalent to exactly one pair of this form.  Raises ValueError
+    unless W is finite and m x m, and NotUnitary when its unitarity residual
+    exceeds ``UNITARY_ABS``.
     """
-    w = _coupling_unitary(w, spec)
+    w = as_complex_matrix(w)
     m = spec.m
+    if w.shape != (m, m):
+        raise ValueError(f"W must be {m} x {m}, got {w.shape}")
+    require_unitary(w)
     v = eigenbasis(spec).V
     a = v[:m, :m].conj().T + w @ v[:m, m:].conj().T
     b = v[m:, :m].conj().T + w @ v[m:, m:].conj().T
@@ -310,7 +294,14 @@ def _k_matrix(cs: CsFactors) -> np.ndarray:
 
 
 def _corner_blocks(w: np.ndarray, spec: OrderSpec):
-    """((offset, block) for rank A, (offset, block) for rank B); see :func:`coupling_block_ranks`."""
+    """((offset, block) for rank A, (offset, block) for rank B) of the pair with coupling unitary W.
+
+    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
+    rank B = p + rank W[:q, p:], each block rank counting the singular
+    values above the absolute cutoff ``RANK_REL``.  At even order p = q = n
+    and both blocks have the sines as singular values, so each rank is
+    n + rank S.  :func:`canonical_decompose` decides with the rank A block.
+    """
     p, q = spec.csd_partition
     return (q, w[q:, :p]), (p, w[:q, p:])
 
@@ -368,7 +359,7 @@ class CanonicalForm(_Form):
     reconstruction agrees with the row-normalized representative of the
     input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
     ``Q3 = selector @ Q4``.  rank A = rank B is decided on a corner block of
-    W (see :func:`coupling_block_ranks`); it equals 2n+1 - (n - rank M),
+    W (see :func:`_corner_blocks`); it equals 2n+1 - (n - rank M),
     where M M* = I - K K* and M = U_big[rest, rest] diag(sin).
     """
 
@@ -481,20 +472,6 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
 even_canonical_decompose = canonical_decompose
 
 
-def coupling_block_ranks(w, spec: OrderSpec):
-    """(rank A, rank B) of a pair from the corner blocks of its W.
-
-    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
-    rank B = p + rank W[:q, p:].  At even order p = q = n and both blocks
-    have the sines as singular values, so each rank is n + rank S.  Ranks
-    count singular values above the absolute cutoff ``RANK_REL``.
-    :func:`canonical_decompose` decides with the rank A block.  W is checked
-    as :func:`construct_from_W` checks it.
-    """
-    blocks = _corner_blocks(_coupling_unitary(w, spec), spec)
-    return tuple(offset + unit_rank(block) for offset, block in blocks)
-
-
 def generate_random_pair(spec: OrderSpec, seed: int, target_unit_cosines: int | None = None) -> BoundaryPair:
     """Seeded random self-adjoint pair, optionally with a prescribed spectrum.
 
@@ -502,30 +479,23 @@ def generate_random_pair(spec: OrderSpec, seed: int, target_unit_cosines: int | 
     ``target_unit_cosines = k`` exactly k cosines are set to 1 and the rest
     are drawn uniformly from (1e-3, 1 - 1e-3), which pins the nullity of
     I - K K* = M M* to k for odd order and the sine rank to n-k for even
-    order, hence rank A = m - k.  The realized count is verified by the
-    corner-block rank decision, and the pair is resampled under a derived
-    seed on the (probability-zero) mismatches.  The pair is built in the
-    normalized form (I : W) V*, self-adjoint for every unitary W.  Raises
-    InvalidTarget for a negative seed or a target outside [0, n].
+    order, hence rank A = m - k.  Every other sine is at least
+    sqrt(1 - (1 - 1e-3)^2) > 0.044, far above the cutoff ``RANK_REL``, so
+    the corner-block rank decision reads exactly m - k.  The pair is built
+    in the normalized form (I : W) V*, self-adjoint for every unitary W.
+    Raises InvalidTarget for a negative seed or a target outside [0, n].
     """
     n = spec.n
     if seed < 0:
         raise InvalidTarget(f"seed must be non-negative, got {seed}")
     if target_unit_cosines is not None and not 0 <= target_unit_cosines <= n:
         raise InvalidTarget(f"target_unit_cosines must lie in [0, {n}], got {target_unit_cosines}")
-    for attempt in range(64):
-        rng = np.random.default_rng([seed, attempt])
-        if target_unit_cosines is None:
-            return construct_from_W(haar_unitary(spec.m, rng), spec)
-        k = target_unit_cosines
-        cos = np.sort(np.concatenate([np.ones(k), rng.uniform(1e-3, 1.0 - 1e-3, n - k)]))[::-1]
-        sin = np.sqrt(1.0 - cos**2)
-        p, q = spec.csd_partition
-        u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
-        w = cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, cos, sin))
-        pair = construct_from_W(w, spec)
-        if spec.m - canonical_decompose(pair).rank == k:
-            return pair
-    raise ConvergenceFailure(
-        f"could not realize {target_unit_cosines} unit cosines after 64 attempts"
-    )
+    rng = np.random.default_rng([seed, 0])
+    if target_unit_cosines is None:
+        return construct_from_W(haar_unitary(spec.m, rng), spec)
+    k = target_unit_cosines
+    cos = np.sort(np.concatenate([np.ones(k), rng.uniform(1e-3, 1.0 - 1e-3, n - k)]))[::-1]
+    sin = np.sqrt(1.0 - cos**2)
+    p, q = spec.csd_partition
+    u1, u2, v1, v2 = (haar_unitary(size, rng) for size in (p, q, p, q))
+    return construct_from_W(cs_reconstruct(CsFactors(p, q, u1, u2, v1, v2, cos, sin)), spec)

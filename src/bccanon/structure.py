@@ -98,7 +98,6 @@ class EigenBasis:
     equivalent to ``(I : W) V*`` for exactly one unitary W.  V is read-only.
     """
 
-    spec: OrderSpec
     V: np.ndarray
 
     def __post_init__(self):
@@ -129,7 +128,7 @@ def eigenbasis(spec: OrderSpec) -> EigenBasis:
     else:
         right = even_order_Z(n)
         cols = np.r_[n : 3 * n, :n, 3 * n : 4 * n]
-    return EigenBasis(spec=spec, V=right.conj().T[:, cols])
+    return EigenBasis(V=right.conj().T[:, cols])
 
 
 def q4_matrix(spec: OrderSpec) -> np.ndarray:

@@ -25,7 +25,6 @@ from bccanon import (
     canonical_decompose,
     check_self_adjoint,
     construct_from_W,
-    coupling_block_ranks,
     cs_reconstruct,
     eigenbasis,
     even_canonical_decompose,
@@ -39,7 +38,8 @@ from bccanon import (
 )
 import bccanon
 from bccanon import csd
-from bccanon.linalg import RANK_REL, UNITARY_ABS
+from bccanon.forms import _corner_blocks
+from bccanon.linalg import RANK_REL, UNITARY_ABS, unit_rank
 
 SPEC5 = OrderSpec.from_order(5)
 SPEC3 = OrderSpec.from_order(3)
@@ -57,6 +57,11 @@ def coupled_unitary_order5():
 def conditioned_invertible(m, rng):
     """Random invertible matrix with condition number below 100."""
     return haar_unitary(m, rng) @ np.diag(rng.uniform(0.2, 2.0, m)).astype(complex) @ haar_unitary(m, rng)
+
+
+def corner_block_ranks(w, spec):
+    """(rank A, rank B) from the two corner blocks of W: offset plus the block's rank at ``RANK_REL``."""
+    return tuple(offset + unit_rank(block) for offset, block in _corner_blocks(w, spec))
 
 
 def svd_route_w(pair):
@@ -130,6 +135,11 @@ class TestConstructFromW:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitary):
             construct_from_W(np.ones((5, 5)), SPEC5)
+
+    @pytest.mark.parametrize("size", [4, 9])
+    def test_rejects_a_wrong_shape(self, size):
+        with pytest.raises(ValueError, match=f"W must be 5 x 5, got \\({size}, {size}\\)"):
+            construct_from_W(np.eye(size), SPEC5)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
@@ -329,9 +339,10 @@ class TestPredictedRanks:
         form = canonical_decompose(construct_from_W(np.eye(5, dtype=complex), SPEC5))
         assert (form.predicted_rank_A, form.predicted_rank_B, form.null_count) == (3, 3, 2)
 
-    @pytest.mark.parametrize("m", range(2, 14))
+    @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
     def test_agrees_with_svd_ranks(self, m):
-        # Every layout of the corner blocks: even order, odd order with odd n and with even n.
+        # Every layout of the corner blocks: even order, odd order with odd n and with even n;
+        # generate_random_pair realizes every k at the large orders too.
         spec = OrderSpec.from_order(m)
         for t in range(max(8, spec.n + 1)):
             k = t % (spec.n + 1)
@@ -339,7 +350,7 @@ class TestPredictedRanks:
             form = canonical_decompose(pair)
             ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
             assert ranks == (m - k, m - k) == (form.rank, form.rank)
-            assert coupling_block_ranks(form.W, spec) == ranks
+            assert corner_block_ranks(form.W, spec) == ranks
             if spec.is_odd_order:
                 assert (form.null_count, form.predicted_rank_A, form.predicted_rank_B) == (k, *ranks)
 
@@ -355,16 +366,28 @@ class TestPredictedRanks:
             g = conditioned_invertible(m, rng)
             mixed = BoundaryPair(A=g @ unit.A, B=g @ unit.B, spec=spec)
             for form in (canonical_decompose(pair), canonical_decompose(mixed)):
-                assert coupling_block_ranks(form.W, spec) == (form.predicted_rank_A, form.predicted_rank_B)
+                assert corner_block_ranks(form.W, spec) == (form.predicted_rank_A, form.predicted_rank_B)
 
-    @pytest.mark.parametrize("size", [4, 9])
-    def test_block_ranks_reject_a_wrong_shape(self, size):
-        with pytest.raises(ValueError, match=f"W must be 5 x 5, got \\({size}, {size}\\)"):
-            coupling_block_ranks(np.eye(size), SPEC5)
+    @staticmethod
+    def _ill_mixed(seed):
+        """A k = 2 pair at m = 5 mixed by the byte guard's ``ill-mixed-m5`` G, cond G = 1e8."""
+        pair = generate_random_pair(SPEC5, seed, target_unit_cosines=2)
+        rng = np.random.default_rng([5, 8])
+        g = (haar_unitary(5, rng) * np.logspace(0, -8, 5)) @ haar_unitary(5, rng)
+        return BoundaryPair(A=g @ pair.A, B=g @ pair.B, spec=SPEC5)
 
-    def test_block_ranks_reject_a_non_unitary_w(self):
-        with pytest.raises(NotUnitary):
-            coupling_block_ranks(np.ones((5, 5)), SPEC5)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_mixed_pair_passes_the_check(self, seed):
+        assert check_self_adjoint(self._ill_mixed(seed)).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: roundoff of order eps cond(G) in a zero corner block of W exceeds RANK_REL "
+        "(ROADMAP, 'The right class under ill-conditioned row operations')",
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ill_mixed_pair_keeps_its_rank(self, seed):
+        assert canonical_decompose(self._ill_mixed(seed)).rank == 3
 
 
 class TestClassify:
@@ -586,6 +609,7 @@ class TestMeasuredOnce:
         pair = generate_random_pair(SPEC5, 2)
         ab = pair.stacked()
         assert pair.stacked() is ab
+        assert np.shares_memory(pair.A, ab) and np.shares_memory(pair.B, ab)
         assert np.array_equal(ab, np.hstack([pair.A, pair.B]))
         with pytest.raises(ValueError):
             ab[0, 0] = 0.0
@@ -656,7 +680,7 @@ class TestFixedCutoffs:
     """Ranks and unitarity are decided by the constants RANK_REL and UNITARY_ABS; no caller sets them."""
 
     @pytest.mark.parametrize(
-        "name", ["construct_from_W", "construct_even_from_W", "cs_decompose", "coupling_block_ranks", "numerical_rank"]
+        "name", ["construct_from_W", "construct_even_from_W", "cs_decompose", "numerical_rank"]
     )
     def test_no_tol_parameter(self, name):
         assert "tol" not in inspect.signature(getattr(bccanon, name)).parameters
@@ -672,7 +696,7 @@ class TestFixedCutoffs:
         spec = OrderSpec.from_order(m)
         others = np.random.default_rng(m).uniform(0.2, 0.9, spec.n - 1)
         ranks = [
-            coupling_block_ranks(_unitary_with_sines(spec, np.array([sine, *others]), np.random.default_rng(m)), spec)
+            corner_block_ranks(_unitary_with_sines(spec, np.array([sine, *others]), np.random.default_rng(m)), spec)
             for sine in (0.5 * RANK_REL, 2.0 * RANK_REL)
         ]
         assert ranks == [(m - 1, m - 1), (m, m)]

@@ -21,13 +21,13 @@ from bccanon import (
     canonical_decompose,
     construct_even_from_W,
     construct_from_W,
-    coupling_block_ranks,
     cs_core,
     even_canonical_decompose,
     haar_unitary,
     numerical_rank,
 )
-from bccanon.linalg import RANK_REL
+from bccanon.forms import _corner_blocks
+from bccanon.linalg import RANK_REL, unit_rank
 
 EXPONENTS = [e for e in range(3, 14) if not 9 <= e <= 11]  # sine = 10**-e
 
@@ -71,6 +71,7 @@ def test_rank_routes_agree(m, e):
         pair = construct_even_from_W(w, spec)
         form = even_canonical_decompose(pair)
         ranks = (numerical_rank(pair.A), numerical_rank(pair.B))
-        assert coupling_block_ranks(form.W, spec) == ranks == (n + form.rank_S,) * 2
+        block_ranks = tuple(offset + unit_rank(block) for offset, block in _corner_blocks(form.W, spec))
+        assert block_ranks == ranks == (n + form.rank_S,) * 2
         assert form.rank_S == np.count_nonzero(form.cs.sin > RANK_REL)
         assert form.rank_S == n - lost
