@@ -16,9 +16,9 @@ mixed copy also with ``--tol TIGHT_TOL``, which fails some of them; it runs
 ``generate`` at each grid point and with each argument list of
 ``GENERATE_ERRORS``, which must fail with a usage error (one passes
 ``--tol``, which only the pair commands take), ``check`` on each malformed
-file of ``PARSE_ERRORS`` (raw bytes, not all of them UTF-8), which must
-fail with an input error, and ``selftest`` with each argument list of
-``SELFTESTS``.
+or non-square file of ``PARSE_ERRORS`` (raw bytes, not all of them UTF-8),
+which must fail with an input error, and ``selftest`` with each argument
+list of ``SELFTESTS``.
 Every run is made in ``--format json`` and ``text``.  OUT.json maps each run
 to its exit code, the SHA-256 of its stdout and the SHA-256 of every file it
 wrote.
@@ -67,7 +67,7 @@ GENERATE_ERRORS = {
     # generate takes no --tol: its pairs are self-adjoint by construction.
     "tol": ["--order", "9", "--seed", "3", "--unit-cosines", "2", "--tol", "1e-16"],
 }
-# Malformed matrix files that check must reject with an input error (exit 2), by name.
+# Malformed or non-square matrix files that check must reject with an input error (exit 2), by name.
 PARSE_ERRORS = {
     "huge-rows": b'{"rows": 1e400, "cols": 1, "data": [[[1, 0]]]}',
     "huge-integer-entry": b'{"rows": 1, "cols": 1, "data": [[[1%s, 0]]]}' % (b"0" * 400),
@@ -80,6 +80,10 @@ PARSE_ERRORS = {
     "bool-and-string-entry": b'{"rows": 2, "cols": 2, "data": [[[true, "0"], [0, 0]], [[0, 0], [1, 0]]]}',
     "not-utf8": b'\xff{"rows": 1, "cols": 1, "data": [[[1, 0]]]}',
     "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "not-an-object": b"[1, 2]",
+    "zero-rows": b'{"rows": 0, "cols": 2, "data": []}',
+    # A well-formed 1 x 2 file: check rejects the pair, which must be square.
+    "non-square": b'{"rows": 1, "cols": 2, "data": [[[1, 0], [0, 0]]]}',
 }
 # selftest argument lists, by name.
 SELFTESTS = {

@@ -252,8 +252,6 @@ def _run(argv) -> tuple[Report, int, str]:
     fmt = args.fmt
     try:
         report, code = args.func(args)
-    except ParseError as exc:
-        return Report(command=args.command, verdict=f"error: {exc}"), EXIT_USAGE, fmt
     except _NUMERICAL_ERRORS as exc:
         return Report(command=args.command, verdict=f"error: {exc}"), EXIT_NUMERICAL, fmt
     except (BccanonError, OSError, MemoryError) as exc:

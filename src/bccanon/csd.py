@@ -18,8 +18,11 @@ column W11 y / cos, which keeps tiny sines accurate; the others take v1's
 row and u1's column from W11's SVD, with sin = sqrt(1 - c^2) and u2's
 column -W21 y / sin.  r sits at the widest gap between consecutive sines
 inside [1/2, sqrt(3)/2] (at 1/sqrt(2) if none lies there), so one SVD
-reads a whole cluster of nearly equal angles.  W21's null vectors give
-the structural unit.  u1, u2 and v1 are replaced by their polar factors,
+reads a whole cluster of nearly equal angles.  The cosines come out
+non-increasing with no sort: each side of r is monotone, and the widest
+gap keeps the two cosines either side of r about 0.21 / (k + 1) or more
+apart, far above roundoff in a unitary W.  W21's null vectors give the
+structural unit.  u1, u2 and v1 are replaced by their polar factors,
 and v2 is read off blockdiag(u1, u2)* W.  An exactly block-diagonal W
 keeps u1 = u2 = I.  Last, one phase per angle is normalized.
 """
@@ -174,7 +177,7 @@ def cs_decompose(w, p: int, q: int) -> CsFactors:
     if not (w[:p, p:].any() or w[p:, :p].any()):
         # Exactly block-diagonal: u1 = u2 = I, free of the SVDs' roundoff in I - K K*.
         u1, u2 = np.eye(p, dtype=complex), np.eye(q, dtype=complex)
-        v1, v2 = w[:p, :p].copy(), w[p:, p:].copy()
+        v1, v2 = w[:p, :p], w[p:, p:]
         cos, sin = np.ones(k), np.zeros(k)
     else:
         try:
@@ -182,12 +185,7 @@ def cs_decompose(w, p: int, q: int) -> CsFactors:
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(str(exc)) from exc
 
-    # Cosines come out non-increasing up to roundoff at the split; enforce it.
-    order = np.argsort(-cos, kind="stable")
     cols2 = np.arange(k) + int(q > p)  # block 2 puts its structural unit first
-    cos, sin = cos[order], sin[order]
-    u1[:, :k], v1[:k] = u1[:, order], v1[order]
-    u2[:, cols2], v2[cols2] = u2[:, cols2[order]], v2[cols2[order]]
     u1, u2, v1, v2 = _normalize_phases(u1, u2, v1, v2, cols2)
     return CsFactors(p=p, q=q, u1=u1, u2=u2, v1=v1, v2=v2, cos=cos, sin=sin)
 

@@ -166,12 +166,6 @@ class SelfAdjointReport:
         return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._items())})"
 
 
-def _self_adjoint_criterion(pair: BoundaryPair, tol: Tolerances):
-    """(rank (A : B), rank ok, Gram residual, Gram ok): ``tol`` applied to the pair's cached residual and rank."""
-    gram_residual, rank_ab = pair._criterion_numbers
-    return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
-
-
 def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
     """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises.
 
@@ -179,7 +173,8 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     Cholesky certifies rank (A : B) = m, and the SVD of (A : B) runs only
     when it fails.  rank A and rank B are measured only when read.
     """
-    return SelfAdjointReport(*_self_adjoint_criterion(pair, tol), pair)
+    gram_residual, rank_ab = pair._criterion_numbers
+    return SelfAdjointReport(rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs, pair)
 
 
 def construct_from_W(w, spec: OrderSpec) -> BoundaryPair:
@@ -216,10 +211,10 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     composed from the SVDs of P and R, raising RankDeficient on a
     numerically singular P.
     """
-    rank_ab, rank_ok, gram_residual, gram_ok = _self_adjoint_criterion(pair, tol)
-    if not (rank_ok and gram_ok):
+    report = check_self_adjoint(pair, tol)
+    if not report.ok:
         raise NotSelfAdjoint(
-            f"rank(A:B)={rank_ab} (need {pair.spec.m}), gram residual {gram_residual:.3e}"
+            f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), gram residual {report.gram_residual:.3e}"
         )
     m = pair.spec.m
     ab = pair.stacked()
@@ -426,10 +421,6 @@ class EvenCanonicalForm(_Form):
     """
 
     @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
     def rank_S(self) -> int:
         return self.rank - self.spec.n
 
@@ -443,7 +434,7 @@ class EvenCanonicalForm(_Form):
 
     @cached_property
     def Z(self) -> np.ndarray:
-        return even_order_Z(self.n)
+        return even_order_Z(self.spec.n)
 
     @cached_property
     def right(self) -> np.ndarray:

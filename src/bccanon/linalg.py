@@ -109,9 +109,7 @@ def require_unitary(u) -> None:
 
 def relative_rank(sigma: np.ndarray) -> int:
     """Number of descending singular values above ``RANK_REL * sigma_max``; 0 when all vanish."""
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > RANK_REL * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_REL * sigma[:1]))
 
 
 @functools.cache
@@ -180,8 +178,6 @@ def numerical_rank(m) -> int:
     README's performance notes).
     """
     m = as_complex_matrix(m)
-    if m.size == 0:
-        return 0
     return relative_rank(_svdvals(m))
 
 

@@ -112,6 +112,20 @@ class TestCheck:
         assert result.stderr == ""
         assert f"verdict: error: invalid JSON in {bad}: " in result.stdout
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[1, 2]", "matrix payload must be an object, got list"),
+            ('{"rows": 0, "cols": 2, "data": []}', "matrix dimensions must be positive, got 0 x 2"),
+        ],
+    )
+    def test_payload_errors_exit_two(self, tmp_path, content, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        report, code = run_command(["check", str(bad), str(bad)])
+        assert code == 2
+        assert report.verdict == f"error: {message}"
+
 
 class TestClassify:
     def test_identity_coupling_fixture(self, fixtures_dir):
@@ -399,6 +413,29 @@ class TestUsageErrors:
         report, code = run_command(["selftest", "--orders", "3", "--trials", trials])
         assert code == 2
         assert report.verdict == f"error: --trials must be at least 1, got {trials}"
+
+    def test_selftest_needs_an_order(self):
+        report, code = run_command(["selftest", "--orders", ","])
+        assert code == 2
+        assert report.verdict == "error: --orders must name at least one order"
+
+    def test_tol_environment_that_is_not_a_float(self, fixtures_dir, monkeypatch):
+        monkeypatch.setenv("BC_CANON_TOL", "abc")
+        a, b = str(fixtures_dir / "dirichlet_A.json"), str(fixtures_dir / "dirichlet_B.json")
+        report, code = run_command(["check", a, b])
+        assert code == 2
+        assert report.verdict == "error: BC_CANON_TOL is not a float: 'abc'"
+
+    @pytest.mark.parametrize("command", ["check", "classify", "canon"])
+    @pytest.mark.parametrize("shape_a, shape_b", [((2, 2), (3, 3)), ((2, 3), (2, 3))])
+    def test_pair_must_be_square_and_equal_sized(self, tmp_path, command, shape_a, shape_b):
+        write_matrix_file(tmp_path / "A.json", np.ones(shape_a))
+        write_matrix_file(tmp_path / "B.json", np.ones(shape_b))
+        out = ["--out", str(tmp_path / "out")] if command == "canon" else []
+        report, code = run_command([command, str(tmp_path / "A.json"), str(tmp_path / "B.json"), *out])
+        assert code == 2
+        assert report.verdict == f"error: A and B must be square and equal-sized, got {shape_a} and {shape_b}"
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed(self, tmp_path):
         result = run_cli("generate", "--order", "5", "--seed", "-1", "--out", str(tmp_path / "pair"))

@@ -57,6 +57,10 @@ class TestCsCore:
         with pytest.raises(PartitionMismatch):
             cs_core(4, 2, np.ones(2), np.zeros(2))
 
+    def test_wrong_angle_count(self):
+        with pytest.raises(PartitionMismatch, match=r"^need 2 angles for partition \(2, 3\)$"):
+            cs_core(2, 3, [1.0], [0.0])
+
 
 class TestCsDecompose:
     def test_identity(self):
@@ -82,7 +86,7 @@ class TestCsDecompose:
             for corner in (f.u1, f.u2, f.v1, f.v2):
                 assert unitarity_residual(corner) < 1e-10
             assert np.max(np.abs(f.cos**2 + f.sin**2 - 1.0)) < 1e-12
-            assert np.all(np.diff(f.cos) <= 1e-15)
+            assert np.all(np.diff(f.cos) <= 0.0)
             assert np.all(f.cos >= 0.0) and np.all(f.cos <= 1.0)
             assert np.all(f.sin >= 0.0) and np.all(f.sin <= 1.0)
             assert np.allclose(f.cos, _block_svd_cosines(w, p, q), atol=1e-10)
@@ -196,6 +200,37 @@ class TestAgainstCossin:
             if m % 2:
                 k = _k_matrix(f)
                 assert not np.any(np.eye(min(p, q)) - k @ k.conj().T)
+
+
+def _adversarial_sines(k, rng):
+    """(label, sines): repeated, zero and unit sines, and sines at 1/sqrt(2) and at the split's edges."""
+    half = np.sqrt(0.5)
+    edges = (np.array([0.5, np.sqrt(0.75)])[:, None] + np.array([-1e-12, 0.0, 1e-12])).ravel()
+    yield "zero", np.zeros(k)
+    yield "unit", np.ones(k)
+    yield "half zero", np.concatenate((np.zeros(k // 2), rng.uniform(0.0, 1.0, k - k // 2)))
+    yield "repeated", np.full(k, rng.uniform(0.0, 1.0))
+    yield "two repeated", np.repeat(rng.uniform(0.0, 1.0, 2), [k // 2, k - k // 2])
+    yield "1/sqrt(2)", np.full(k, half)
+    yield "1/sqrt(2) +- 1e-12", half + 1e-12 * np.linspace(-1.0, 1.0, k)
+    yield "split edges", np.resize(edges, k)
+    yield "split edges among others", np.concatenate((np.resize(edges, k // 2), rng.uniform(0.0, 1.0, k - k // 2)))
+    yield "near 0 and 1", np.resize([1e-12, 1.0 - 1e-12, 0.0, 1.0], k)
+
+
+class TestOrderedWithoutSort:
+    """The split at the widest gap emits the cosines in order; cs_decompose sorts nothing."""
+
+    @pytest.mark.parametrize("m", [*range(2, 18), 64, 65])
+    def test_cosines_non_increasing_and_w_reconstructed(self, m):
+        rng = np.random.default_rng(7000 + m)
+        for p, q in _partitions(m):
+            cases = [(f"haar {i}", haar_unitary(m, rng)) for i in range(3)]
+            cases += [(label, _with_sines(p, q, sin, rng)) for label, sin in _adversarial_sines(min(p, q), rng)]
+            for label, w in cases:
+                f = cs_decompose(w, p, q)
+                assert np.all(np.diff(f.cos) <= 0.0), (label, p, q, f.cos)
+                assert np.linalg.norm(cs_reconstruct(f) - w) <= 1e-13 * m, (label, p, q)
 
 
 class TestCsReconstruct:

@@ -180,6 +180,29 @@ class TestRecoverW:
         with pytest.raises(NotSelfAdjoint):
             recover_W(pair)
 
+    @pytest.mark.parametrize("tol", [None, Tolerances(residual_abs=0.5)])
+    def test_raises_exactly_when_the_check_fails(self, tol):
+        good = generate_random_pair(SPEC5, 3)
+        nudge = 1e-4 * np.random.default_rng(31).standard_normal((5, 5))
+        pairs = {
+            "gram": BoundaryPair.from_matrices(np.eye(5), np.zeros((5, 5))),
+            "nudged": BoundaryPair(A=good.A + nudge, B=good.B, spec=SPEC5),  # Gram residual between the two bounds
+            "rank": BoundaryPair(A=good.A[[1, 1, 2, 3, 4]], B=good.B[[1, 1, 2, 3, 4]], spec=SPEC5),
+            "self-adjoint": good,
+        }
+        args = () if tol is None else (tol,)
+        verdicts = {}
+        for name, pair in pairs.items():
+            report = check_self_adjoint(pair, *args)
+            verdicts[name] = report.ok
+            if report.ok:
+                recover_W(pair, *args)
+                continue
+            message = f"rank(A:B)={report.rank_AB} (need 5), gram residual {report.gram_residual:.3e}"
+            with pytest.raises(NotSelfAdjoint, match=f"^{re.escape(message)}$"):
+                recover_W(pair, *args)
+        assert verdicts == {"gram": False, "nudged": tol is not None, "rank": False, "self-adjoint": True}
+
     @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
     def test_solve_route_matches_the_svd_route(self, count_svds, m):
         # Row mixers with singular values in [0.3, 3], as the benchmark draws them.

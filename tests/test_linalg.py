@@ -71,6 +71,14 @@ class TestNumericalRank:
     def test_zero(self):
         assert numerical_rank(np.zeros((4, 4))) == 0
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (3, 3), (64, 64)])
+    def test_empty_and_zero_matrices_have_rank_zero(self, shape):
+        assert numerical_rank(np.zeros(shape)) == 0
+
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_relative_rank_of_no_values_or_zeros_is_zero(self, size):
+        assert relative_rank(np.zeros(size)) == 0
+
     def test_self_adjoint_pair_has_full_row_rank(self):
         from bccanon import OrderSpec, construct_from_W
 
