@@ -71,7 +71,7 @@ class TestNumericalRank:
     def test_zero(self):
         assert numerical_rank(np.zeros((4, 4))) == 0
 
-    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (3, 3), (64, 64)])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (64, 64)])
     def test_empty_and_zero_matrices_have_rank_zero(self, shape):
         assert numerical_rank(np.zeros(shape)) == 0
 
