@@ -7,18 +7,18 @@ On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
 each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies s
 (A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
-``SCALES``, copies with a repeated row at ``REPEATED_ROW_ORDERS``, a
-row-mixed copy with cond G = 1e8 at ``ILL_MIXED_ORDERS``, and the
-``dirichlet`` and ``w_identity`` fixtures; later runs
-reuse whatever INPUT_DIR holds, so two commits digest the same inputs.  For
-each input the script runs ``check``, ``classify`` and ``canon``, on each
-mixed copy also with ``--tol TIGHT_TOL``, which fails some of them; it runs
-``generate`` at each grid point and with each argument list of
-``GENERATE_ERRORS``, which must fail with a usage error (one passes
-``--tol``, which only the pair commands take), ``check`` on each malformed
-or non-square file of ``PARSE_ERRORS`` (raw bytes, not all of them UTF-8),
-which must fail with an input error, and ``selftest`` with each argument
-list of ``SELFTESTS``.
+``SCALES`` (1e-170, 1e-6 and 1e2), copies with a repeated row at
+``REPEATED_ROW_ORDERS``, a row-mixed copy with cond G = 1e8 at
+``ILL_MIXED_ORDERS``, and the ``dirichlet`` and ``w_identity`` fixtures;
+later runs reuse whatever INPUT_DIR holds, so two commits digest the same
+inputs.  For each input the script runs ``check``, ``classify`` and
+``canon``, on each mixed copy also with ``--tol TIGHT_TOL``, which fails
+some of them; it runs ``generate`` at each grid point and with each
+argument list of ``GENERATE_ERRORS``, which must fail with a usage error
+(one passes ``--tol``, which only the pair commands take), ``check`` on
+each malformed or non-square file of ``PARSE_ERRORS`` (raw bytes, not all
+of them UTF-8), which must fail with an input error, and ``selftest`` with
+each argument list of ``SELFTESTS``.
 Every run is made in ``--format json`` and ``text``.  OUT.json maps each run
 to its exit code, the SHA-256 of its stdout and the SHA-256 of every file it
 wrote.
@@ -48,7 +48,9 @@ MIXED_UNIT_COSINES = 2
 # At these orders those pairs also get copies s (A, B) at each scale, by label:
 # the guard then covers pairs off unit scale that the Gram bound still accepts.
 SCALED_ORDERS = (5, 6, 64, 65)
-SCALES = {"1e-6": 1e-6, "1e2": 1e2}
+# At 1e-170 the squares of the entries underflow, so a norm of (A : B) taken
+# at that scale reads 0.
+SCALES = {"1e-170": 1e-170, "1e-6": 1e-6, "1e2": 1e2}
 # At these orders those pairs also get a copy whose row 0 of (A : B) repeats row 1,
 # so rank (A : B) = m - 1: the guard covers the check's SVD fallback.
 REPEATED_ROW_ORDERS = (5, 64)

@@ -144,7 +144,11 @@ def _cmd_canon(args) -> tuple[Report, int]:
         cs = form.cs
         factors = {"U": form.U, "middle": form.middle, "Z": form.Z, "V1": cs.v1, "U1": cs.u1, "U2": cs.u2, "V2": cs.v2}
     factors.update(W=form.W, C_diag=form.cos.reshape(1, -1), S_diag=form.sin.reshape(1, -1))
-    residual = float(np.linalg.norm(product - ab) / np.linalg.norm(ab))
+    # The norms are taken at unit scale, so ||(A : B)||_F of a tiny pair cannot underflow.  A power of
+    # two scales exactly; the clamp keeps a subnormal input from overflowing it.
+    unit = np.ldexp(1.0, min(-np.frexp(np.max(np.abs(ab)))[1], 1023))
+    scaled_ab = unit * ab
+    residual = float(np.linalg.norm(unit * product - scaled_ab) / np.linalg.norm(scaled_ab))
     angle = float(np.max(row_space_angles(product, ab)))
     metrics = {"m": spec.m, "n": spec.n, "reconstruction_residual": residual, "row_space_angle_max": angle}
     metrics.update(_rank_block(form))

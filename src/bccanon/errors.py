@@ -1,5 +1,18 @@
 """Exception types raised by the bccanon library."""
 
+__all__ = [
+    "BccanonError",
+    "NotUnitary",
+    "ConvergenceFailure",
+    "PartitionMismatch",
+    "NotSelfAdjoint",
+    "RankDeficient",
+    "UnsupportedOrder",
+    "InvalidTarget",
+    "ParseError",
+    "DimensionMismatch",
+]
+
 
 class BccanonError(Exception):
     """Base class for all library-specific failures."""

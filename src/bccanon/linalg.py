@@ -19,17 +19,10 @@ import numpy as np
 from .errors import NotUnitary
 
 __all__ = [
-    "RANK_REL",
-    "UNITARY_ABS",
     "Tolerances",
     "DEFAULT_TOL",
-    "as_complex_matrix",
-    "block_diag",
     "unitarity_residual",
-    "require_unitary",
     "numerical_rank",
-    "relative_rank",
-    "unit_rank",
     "random_unitary",
     "haar_unitary",
     "row_space_angles",

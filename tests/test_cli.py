@@ -222,7 +222,9 @@ class TestCanon:
 
     # Above s = 1e3 the absolute Gram bound of the self-adjointness check
     # (residual_abs = 1e-8) starts to reject these pairs, so the scales stop there.
-    @given(m=st.integers(2, 9), seed=st.integers(0, 2**16), log_s=st.floats(-8.0, 3.0), data=st.data())
+    # Below s = 1e-160 the squares of the entries underflow, so the residual's
+    # norms hold only if canon takes them at unit scale.
+    @given(m=st.integers(2, 9), seed=st.integers(0, 2**16), log_s=st.floats(-250.0, 3.0), data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_health_figures_are_scale_free(self, m, seed, log_s, data):
         k = data.draw(st.integers(0, m // 2), label="k")
@@ -235,6 +237,20 @@ class TestCanon:
         assert code == 0, report.verdict
         assert report.metrics["reconstruction_residual"] <= 1e-12
         assert report.metrics["row_space_angle_max"] <= 1e-8
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_tiny_pair_exits_zero_with_classify_verdict(self, tmp_path, capsys, m):
+        # At s = 1e-170 the Frobenius norm of (A : B) underflows to 0.
+        pair = generate_random_pair(OrderSpec(m), 1, target_unit_cosines=1)
+        paths = [str(tmp_path / f"{side}.json") for side in "AB"]
+        for path, matrix in zip(paths, (pair.A, pair.B)):
+            write_matrix_file(path, 1e-170 * matrix)
+        assert main(["classify", *paths, "--format", "json"]) == 0
+        classify = json.loads(capsys.readouterr().out)
+        assert main(["canon", *paths, "--out", str(tmp_path / "f"), "--format", "json"]) == 0
+        canon = json.loads(capsys.readouterr().out)
+        assert canon["verdict"] == classify["verdict"]
+        assert canon["metrics"]["reconstruction_residual"] <= 1e-12
 
     @pytest.mark.parametrize("order", [5, 6, 20, 21])
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -591,6 +607,14 @@ class TestDeferredCsd:
         report, code = run_command(["classify", a, b])
         assert code == 0
         assert report.verdict == ("mixed" if stem == "w_identity" else "separated")
+
+    def test_svd_failure_inside_the_csd_exits_three(self, generated_pair, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("bccanon.csd._two_svd_factors", fail)
+        report, code = run_command(["canon", *map(str, generated_pair), "--out", str(tmp_path / "f")])
+        assert (report.verdict, code) == ("error: SVD did not converge", 3)
 
 
 class TestRenderOnce:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, cossin
 
 from bccanon import (
+    ConvergenceFailure,
     NotUnitary,
     PartitionMismatch,
     cs_core,
@@ -90,6 +91,15 @@ class TestCsDecompose:
             assert np.all(f.cos >= 0.0) and np.all(f.cos <= 1.0)
             assert np.all(f.sin >= 0.0) and np.all(f.sin <= 1.0)
             assert np.allclose(f.cos, _block_svd_cosines(w, p, q), atol=1e-10)
+
+    def test_svd_failure_is_a_convergence_failure(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        w = random_unitary(5, 3)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceFailure, match="^SVD did not converge$"):
+            cs_decompose(w, 2, 3)
 
     def test_clustered_angles_round_trip(self):
         # repeated cosines, exact ones and exact zeros in one spectrum

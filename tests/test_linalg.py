@@ -205,6 +205,24 @@ class TestSerialSvdScope:
         x = np.stack((_square(m, 2), _square(m, 3)))
         assert np.array_equal(linalg._svdvals(x), np.linalg.svd(x, compute_uv=False))
 
+    @pytest.mark.parametrize("missing", ["directory", "library"])
+    def test_no_loadable_openblas_gives_the_plain_call(self, monkeypatch, missing):
+        def fail(*args):
+            raise OSError("not found")
+
+        if missing == "directory":
+            monkeypatch.setattr(linalg.os, "listdir", fail)
+        else:
+            monkeypatch.setattr(linalg.os, "listdir", lambda path: ["libscipy_openblas64_-missing.so"])
+            monkeypatch.setattr(linalg.ctypes, "CDLL", fail)
+        x = _square(64, 7)
+        linalg._openblas_threads.cache_clear()
+        try:
+            assert linalg._openblas_threads() is None
+            assert np.array_equal(linalg._svdvals(x), np.linalg.svd(x, compute_uv=False))
+        finally:
+            linalg._openblas_threads.cache_clear()
+
     @needs_openblas
     def test_concurrent_callers_leave_the_count_unchanged(self):
         get, _ = linalg._openblas_threads()

@@ -256,6 +256,10 @@ class TestDeterministicJson:
         assert first == second
         assert first.index('"a"') < first.index('"b"')
 
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError, match="cannot serialize <class 'object'>"):
+            dumps_deterministic(object())
+
     def test_floats_have_seventeen_digits(self):
         text = dumps_deterministic({"x": 0.1})
         assert "0.10000000000000001" in text

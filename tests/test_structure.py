@@ -74,6 +74,10 @@ class TestSymplecticMatrix:
     def test_order_one(self):
         assert np.array_equal(symplectic_matrix(1), np.array([[-1.0]], dtype=complex))
 
+    def test_order_zero_raises(self):
+        with pytest.raises(ValueError, match="size must be positive, got 0"):
+            symplectic_matrix(0)
+
     def test_order_three_by_hand(self):
         # (-1)^r at column 4-r: rows (0,0,-1), (0,1,0), (-1,0,0)
         expected = np.array([[0, 0, -1], [0, 1, 0], [-1, 0, 0]], dtype=complex)
@@ -223,6 +227,10 @@ class TestEvenOrderZ:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_unitary(self, n):
         assert unitarity_residual(even_order_Z(n)) < 1e-14
+
+    def test_n_zero_raises(self):
+        with pytest.raises(ValueError, match="n must be positive, got 0"):
+            even_order_Z(0)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_off_diagonal_quadrants_zero(self, n):
