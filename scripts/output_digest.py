@@ -7,7 +7,7 @@ On first use INPUT_DIR is filled with pairs from ``bccanon generate`` at
 every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
 each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies s
 (A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
-``SCALES`` (1e-170, 1e-6 and 1e2), copies with a repeated row at
+``SCALES`` (1e-170, 1e-315, 1e-6 and 1e2), copies with a repeated row at
 ``REPEATED_ROW_ORDERS``, a row-mixed copy with cond G = 1e8 at
 ``ILL_MIXED_ORDERS``, and the ``dirichlet`` and ``w_identity`` fixtures;
 later runs reuse whatever INPUT_DIR holds, so two commits digest the same
@@ -49,8 +49,9 @@ MIXED_UNIT_COSINES = 2
 # the guard then covers pairs off unit scale that the Gram bound still accepts.
 SCALED_ORDERS = (5, 6, 64, 65)
 # At 1e-170 the squares of the entries underflow, so a norm of (A : B) taken
-# at that scale reads 0.
-SCALES = {"1e-170": 1e-170, "1e-6": 1e-6, "1e2": 1e2}
+# at that scale reads 0.  At 1e-315 every entry is subnormal, and the pair
+# commands refuse the pair as input (exit 2).
+SCALES = {"1e-170": 1e-170, "1e-315": 1e-315, "1e-6": 1e-6, "1e2": 1e2}
 # At these orders those pairs also get a copy whose row 0 of (A : B) repeats row 1,
 # so rank (A : B) = m - 1: the guard covers the check's SVD fallback.
 REPEATED_ROW_ORDERS = (5, 64)

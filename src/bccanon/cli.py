@@ -83,7 +83,10 @@ def _load_pair(args) -> tuple[BoundaryPair, Tolerances]:
     b = parse_matrix_file(args.B)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ParseError(f"A and B must be square and equal-sized, got {a.shape} and {b.shape}")
-    return BoundaryPair.from_matrices(a, b), tol
+    try:
+        return BoundaryPair.from_matrices(a, b), tol
+    except ValueError as exc:  # all-subnormal entries; the parser rejects non-finite ones
+        raise ParseError(str(exc)) from exc
 
 
 def _cmd_check(args) -> tuple[Report, int]:

@@ -36,6 +36,7 @@ from .linalg import (
     Tolerances,
     _row_rank,
     _svdvals,
+    _w_noise,
     as_complex_matrix,
     block_diag,
     haar_unitary,
@@ -48,7 +49,6 @@ from .structure import (
     eigenbasis,
     even_order_Z,
     q4_matrix,
-    symplectic_matrix,
 )
 
 __all__ = [
@@ -67,6 +67,9 @@ __all__ = [
 ]
 
 
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
 class Classification(enum.Enum):
     """Boundary-condition type; SEPARATED is reachable only for even order."""
 
@@ -80,13 +83,23 @@ class BoundaryPair:
     """Pair (A, B) of m x m complex matrices with its order bookkeeping.
 
     Immutable: the pair keeps one private read-only copy of (A : B), and
-    A and B are its column halves (views, not C-contiguous).  The Gram
-    residual and rank (A : B) (one Cholesky of its shifted Gram matrix; the
-    SVD only when that fails) are computed once, on first use, and the
-    singular values of A and of B once, on the first read of a report's
-    ``rank_A`` or ``rank_B``; from m = 64 up the values-only SVDs run on one
-    OpenBLAS thread (see the README's performance notes).  ``spec``
-    defaults to A's size.
+    A and B are its column halves (views, not C-contiguous).  Raises
+    ValueError on a non-finite entry, and on a pair whose nonzero real and
+    imaginary parts are all subnormal: such entries have lost digits, so
+    no rank read off them can be trusted.
+
+    The pair is measured once, on first use, in eigenspace coordinates:
+    (P~ : R~) = (A : B) sqrt(2) V, gathered from the columns of (A : B)
+    with the exact coefficients that :class:`~bccanon.structure.EigenBasis`
+    stores.  V* (C_m (+) -C_m) V is diag(-I, I) (times +-i at even order),
+    so the Gram residual ||A C_m A* - B C_m B*||_F is
+    (1/2) ||R~ R~* - P~ P~*||_F, and P~ P~* + R~ R~* = 2 (A : B)(A : B)* is
+    the Gram matrix whose shifted Cholesky certifies rank (A : B) = m (the
+    SVD of (A : B) runs only when that fails).  The recovery of W reads the
+    same two halves.  The singular values of A and of B are measured once,
+    on the first read of a report's ``rank_A`` or ``rank_B``; from m = 64 up
+    the values-only SVDs run on one OpenBLAS thread (see the README's
+    performance notes).  ``spec`` defaults to A's size.
     """
 
     A: np.ndarray
@@ -94,12 +107,17 @@ class BoundaryPair:
     spec: OrderSpec | None = None
 
     def __post_init__(self):
-        a, b = as_complex_matrix(self.A), as_complex_matrix(self.B)
+        a, b = as_complex_matrix(self.A, finite=False), as_complex_matrix(self.B, finite=False)
         spec = OrderSpec.from_order(a.shape[0]) if self.spec is None else self.spec
         m = spec.m
         if a.shape != (m, m) or b.shape != (m, m):
             raise ValueError(f"expected two {m} x {m} matrices, got {a.shape} and {b.shape}")
-        ab = np.hstack([a, b])
+        ab = np.concatenate((a, b), axis=1)  # np.hstack costs a microsecond more
+        peak = np.abs(ab.view(float)).max()  # one pass serves both tests; NaN fails the first
+        if not peak < np.inf:
+            raise ValueError("matrix contains NaN or infinite entries")
+        if 0.0 < peak < _SMALLEST_NORMAL:
+            raise ValueError(f"every entry is subnormal or zero (largest part {peak:.3e}): too small to decide a rank")
         ab.flags.writeable = False
         for name, value in (("A", ab[:, :m]), ("B", ab[:, m:]), ("spec", spec), ("_ab", ab)):
             object.__setattr__(self, name, value)
@@ -114,20 +132,43 @@ class BoundaryPair:
         return self._ab
 
     @cached_property
-    def _criterion_numbers(self) -> tuple[float, int]:
-        """(||A C_m A* - B C_m B*||_F, inf or nan on overflow; rank (A : B))."""
-        # C_m is antidiagonal, so X @ C_m is X's columns reversed and signed.
-        signs = symplectic_matrix(self.spec.m)[::-1].diagonal()
-        a_c, b_c = self.A[:, ::-1] * signs, self.B[:, ::-1] * signs
+    def _coordinates(self) -> np.ndarray:
+        """(P~ : R~) = (A : B) sqrt(2) V, one m x 2m array."""
+        return eigenbasis(self.spec)._scaled_product(self._ab)
+
+    @cached_property
+    def _criterion_numbers(self) -> tuple[float, int, np.ndarray | None]:
+        """(Gram residual, inf or nan on overflow; rank (A : B); its singular values, or None when certified)."""
+        m = self.spec.m
+        p, r = self._coordinates[:, :m], self._coordinates[:, m:]
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = float(np.linalg.norm(a_c @ self.A.conj().T - b_c @ self.B.conj().T))
-        return residual, _row_rank(self.stacked())
+            pp, rr = p @ p.conj().T, r @ r.conj().T
+            gram = pp + rr
+            rr -= pp
+            residual = 0.5 * float(np.linalg.norm(rr))
+        return residual, *_row_rank(self._ab, gram)
 
     @cached_property
     def _block_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(singular values of A, singular values of B), from one stacked SVD."""
         sigma_a, sigma_b = _svdvals(np.array((self.A, self.B)))  # np.stack costs microseconds more
         return sigma_a, sigma_b
+
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        """Singular values of (A : B): the check's, when its certificate failed, else one values-only SVD."""
+        sigma = self._criterion_numbers[2]
+        return _svdvals(self._ab) if sigma is None else sigma
+
+    def _recovery_noise(self):
+        """The roundoff level of the W recovered from the pair, for :func:`~bccanon.linalg.unit_rank`.
+
+        A number when the check already ran the SVD of (A : B); otherwise a
+        callable that runs it, since the certificate bounds the level.
+        """
+        if self._criterion_numbers[2] is not None:
+            return _w_noise(self._singular_values)
+        return lambda: _w_noise(self._singular_values)
 
 
 @dataclass(frozen=True)
@@ -173,7 +214,7 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     Cholesky certifies rank (A : B) = m, and the SVD of (A : B) runs only
     when it fails.  rank A and rank B are measured only when read.
     """
-    gram_residual, rank_ab = pair._criterion_numbers
+    gram_residual, rank_ab, _ = pair._criterion_numbers
     return SelfAdjointReport(rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs, pair)
 
 
@@ -203,13 +244,14 @@ construct_even_from_W = construct_from_W
 def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     """(W, P): the unique unitary W and the P with (A : B) = P (I : W) V*.
 
-    Checks the self-adjointness criterion, then splits (A : B) over the two
-    column halves (eigenspaces) of V: (A : B) V = (P : R) with R = P W.
-    When X = P^-1 R (one LU solve) is unitary within ``UNITARY_ABS``, one
-    Newton-Schulz step X (3I - X*X) / 2 gives its unitary polar factor, to
-    an error of order the square of X's unitarity residual.  Otherwise W is
-    composed from the SVDs of P and R, raising RankDeficient on a
-    numerically singular P.
+    Checks the self-adjointness criterion, then reads the split of (A : B)
+    over the two column halves (eigenspaces) of V that the check measured,
+    (A : B) sqrt(2) V = (P~ : R~) with R~ = P~ W, and returns
+    P = P~ / sqrt(2): no product with V is formed.  When X = P~^-1 R~ (one
+    LU solve) is unitary within ``UNITARY_ABS``, one Newton-Schulz step
+    X (3I - X*X) / 2 gives its unitary polar factor, to an error of order
+    the square of X's unitarity residual.  Otherwise W is composed from the
+    SVDs of P~ and R~, raising RankDeficient on a numerically singular P.
     """
     report = check_self_adjoint(pair, tol)
     if not report.ok:
@@ -217,22 +259,19 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
             f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), gram residual {report.gram_residual:.3e}"
         )
     m = pair.spec.m
-    ab = pair.stacked()
-    basis = eigenbasis(pair.spec).V
-    p_coef = ab @ basis[:, :m]
-    r_coef = ab @ basis[:, m:]
+    p_scaled, r_scaled = pair._coordinates[:, :m], pair._coordinates[:, m:]
     try:
-        x = np.linalg.solve(p_coef, r_coef)
+        x = np.linalg.solve(p_scaled, r_scaled)
         gram, eye = x.conj().T @ x, np.eye(m)
         if np.max(np.abs(gram - eye)) <= UNITARY_ABS:
-            return x @ (1.5 * eye - 0.5 * gram), p_coef
+            return x @ (1.5 * eye - 0.5 * gram), p_scaled / np.sqrt(2.0)
     except np.linalg.LinAlgError:  # P exactly singular
         pass
-    up, sp, vph = np.linalg.svd(p_coef)
-    ur, _, vrh = np.linalg.svd(r_coef)
+    up, sp, vph = np.linalg.svd(p_scaled)
+    ur, _, vrh = np.linalg.svd(r_scaled)
     if relative_rank(sp) < m:
         raise RankDeficient("eigenspace coefficient matrix is numerically singular")
-    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_coef
+    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_scaled / np.sqrt(2.0)
 
 
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -301,10 +340,16 @@ def _corner_blocks(w: np.ndarray, spec: OrderSpec):
     return (q, w[q:, :p]), (p, w[:q, p:])
 
 
-def _decide(w: np.ndarray, spec: OrderSpec) -> int:
-    """rank A of the pair with coupling unitary W, from one corner block."""
-    offset, block = _corner_blocks(w, spec)[0]
-    return offset + unit_rank(block)
+def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
+    """rank A of ``pair``, whose recovered coupling unitary is W, from one corner block.
+
+    The block is cut at max(RANK_REL, 4 m eps kappa), kappa = cond (A : B):
+    W errs by about eps kappa, and at kappa near 1e8 that exceeds RANK_REL.
+    kappa costs no SVD when the check ran one, nor when no value of the
+    block lies where a kappa the certificate allows could move the rank.
+    """
+    offset, block = _corner_blocks(w, pair.spec)[0]
+    return offset + unit_rank(block, pair._recovery_noise())
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,7 +502,7 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     """
     w, p_coef = _recover_coupling(pair, tol)
     form = CanonicalForm if pair.spec.is_odd_order else EvenCanonicalForm
-    return form(pair.spec, w, p_coef, _decide(w, pair.spec))
+    return form(pair.spec, w, p_coef, _decide(w, pair))
 
 
 even_canonical_decompose = canonical_decompose

@@ -39,8 +39,16 @@ UNITARY_ABS = 1e-10  # max absolute deviation of U*U from the identity
 _SERIAL_SVD_MIN = 64
 _BLAS_THREADS_LOCK = threading.Lock()
 
-# _row_rank's diagonal shift per unit of m^2 tr(x x*), and the least (normal) shift it uses.
-_GRAM_SHIFT, _GRAM_SHIFT_MIN = 64 * np.finfo(float).eps, np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+# _row_rank's diagonal shift per unit of m^2 tr(G), and the least (normal) shift it uses.
+_GRAM_SHIFT, _GRAM_SHIFT_MIN = 64 * _EPS, np.finfo(float).tiny
+# A bound on the backward error of forming and factoring G, per unit of m^2 tr(G) (c0 in _row_rank).
+_GRAM_ROUNDOFF = 8 * _EPS
+# A W recovered from a pair with kappa = cond (A : B) errs by about eps kappa, so a block of it
+# is cut at max(RANK_REL, _W_NOISE m kappa).  A certified pair has kappa <= (m^2 c')^-1/2,
+# c' = _GRAM_SHIFT - _GRAM_ROUNDOFF, so its noise is at most _W_NOISE_CERTIFIED, about 8e-9.
+_W_NOISE = 4 * _EPS
+_W_NOISE_CERTIFIED = _W_NOISE / np.sqrt(_GRAM_SHIFT - _GRAM_ROUNDOFF)
 
 
 @dataclass(frozen=True)
@@ -61,12 +69,12 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex128 array and reject non-finite entries."""
+def as_complex_matrix(a, finite: bool = True) -> np.ndarray:
+    """Coerce to a 2-d complex128 array and, unless ``finite`` is False, reject non-finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if finite and not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or infinite entries")
     return m
 
@@ -152,16 +160,33 @@ def _svdvals(x: np.ndarray) -> np.ndarray:
             set_(before)
 
 
-def unit_rank(block: np.ndarray) -> int:
-    """Number of singular values of ``block`` above ``RANK_REL``.
+def unit_rank(block: np.ndarray, noise=0.0) -> int:
+    """Number of singular values of ``block`` above max(RANK_REL, noise).
 
     Blocks of a unitary have singular values of unit natural scale (the
     sines among them), so the cutoff is absolute; a relative one would
-    count roundoff as rank when a block should be zero.  From 64 rows and
-    columns up the SVD runs on one OpenBLAS thread (see the README's
-    performance notes).
+    count roundoff as rank when a block should be zero.  ``noise`` is the
+    roundoff level of the block's entries (:func:`_w_noise`), or a callable
+    that gives it at most ``_W_NOISE_CERTIFIED``: it is called only when a
+    value lies in (RANK_REL, _W_NOISE_CERTIFIED], the one place where such a
+    noise can move the rank.  From 64 rows and columns up the SVD runs on
+    one OpenBLAS thread (see the README's performance notes).
     """
-    return int(np.count_nonzero(_svdvals(block) > RANK_REL))
+    sigma = _svdvals(block)
+    rank = int(np.count_nonzero(sigma > RANK_REL))
+    if callable(noise):
+        # The values descend, so the least one counted is the only one that can lie in the band.
+        noise = noise() if rank and sigma[rank - 1] <= _W_NOISE_CERTIFIED else 0.0
+    return int(np.count_nonzero(sigma > noise)) if noise > RANK_REL else rank
+
+
+def _w_noise(sigma: np.ndarray) -> float:
+    """4 m eps kappa, the roundoff level of a W recovered from an m x 2m (A : B) with singular values ``sigma``.
+
+    A subspace determined to an angle of eps kappa is the general bound
+    (Wedin, BIT 12, 1972; Stewart and Sun, Matrix Perturbation Theory, 1990).
+    """
+    return float(_W_NOISE * len(sigma) * (sigma[0] / sigma[-1]))
 
 
 def numerical_rank(m) -> int:
@@ -174,29 +199,35 @@ def numerical_rank(m) -> int:
     return relative_rank(_svdvals(m))
 
 
-def _row_rank(x: np.ndarray) -> int:
-    """``relative_rank(_svdvals(x))`` for an m x k ``x``, m <= k, with no SVD when the rank is m.
+def _row_rank(x: np.ndarray, gram: np.ndarray) -> tuple[int, np.ndarray | None]:
+    """(``relative_rank(_svdvals(x))``, the values or None) for an m x k ``x``, m <= k, with no SVD when the rank is m.
 
-    A Cholesky of x x* - delta I, delta = 64 m^2 eps tr(x x*), that succeeds
-    proves sigma_m / sigma_1 >= about 8 m sqrt(eps), far above ``RANK_REL``:
-    forming and factoring x x* err backwards by at most c0 m^2 eps tr(x x*),
-    c0 well below 64 (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, Thms 10.3-10.5).  The SVD runs when the factorization fails or
-    delta is not a finite normal number (x near overflow or underflow).
+    ``gram`` is a fresh C-contiguous G = c x x* for any c > 0, which the
+    call overwrites.  A Cholesky of G - delta I, delta = 64 m^2 eps tr(G),
+    that succeeds proves sigma_m / sigma_1 >= about 8 m sqrt(eps), far above
+    ``RANK_REL``: forming and factoring G err backwards by at most
+    c0 m^2 eps tr(G), c0 well below 64 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, Thms 10.3-10.5).  That holds for a G formed
+    from x times rounded coefficients, as :class:`~bccanon.forms.BoundaryPair`
+    forms it: the one rounding per coefficient adds a few units to c0,
+    which ``_GRAM_ROUNDOFF`` takes as 8.  The values-only SVD of ``x`` runs
+    when the factorization fails or delta is not a finite normal number
+    (x near overflow or underflow), and its values are returned with the
+    rank; on success the second item is None.
     """
     m = x.shape[0]
+    diagonal = gram.reshape(-1)[:: m + 1]  # a view: gram is C-contiguous
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = x @ x.conj().T
-        diagonal = gram.reshape(-1)[:: m + 1]  # a view: gram is a fresh C-contiguous array
         shift = _GRAM_SHIFT * m * m * diagonal.real.sum()
     if _GRAM_SHIFT_MIN <= shift < np.inf:
         diagonal -= shift
         try:
             np.linalg.cholesky(gram)
-            return m
+            return m, None
         except np.linalg.LinAlgError:
             pass
-    return relative_rank(_svdvals(x))
+    sigma = _svdvals(x)
+    return relative_rank(sigma), sigma
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:

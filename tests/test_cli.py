@@ -127,6 +127,50 @@ class TestCheck:
         assert report.verdict == f"error: {message}"
 
 
+class TestSubnormalPair:
+    """A pair whose every real and imaginary part is subnormal or zero is refused as input (exit 2)."""
+
+    @pytest.mark.parametrize("scale", [1e-315, 1e-320])
+    @pytest.mark.parametrize("command", ["check", "classify", "canon"])
+    def test_exit_two(self, tmp_path, scale, command):
+        pair = generate_random_pair(OrderSpec(5), 1, target_unit_cosines=1)
+        paths = [str(tmp_path / f"{side}.json") for side in "AB"]
+        for path, matrix in zip(paths, (pair.A, pair.B)):
+            write_matrix_file(path, scale * matrix)
+        extra = ["--out", str(tmp_path / "f")] if command == "canon" else []
+        report, code = run_command([command, *paths, *extra])
+        assert code == 2
+        assert report.verdict.startswith("error: every entry is subnormal or zero (largest part ")
+        assert not (tmp_path / "f").exists()
+
+
+class TestIllConditionedRowOperations:
+    """A pair row-mixed by G with cond G = 1e8 keeps its rank and class in classify and canon.
+
+    W recovered from it errs by about eps cond G, which exceeds the absolute cutoff RANK_REL in a
+    corner block that should be zero; the decision cuts at max(RANK_REL, 4 m eps cond (A : B)).
+    """
+
+    @given(m=st.integers(3, 13), seed=st.integers(0, 1), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_classify_and_canon_keep_the_class(self, m, seed, data):
+        spec = OrderSpec(m)
+        k = data.draw(st.integers(0, spec.n), label="k")
+        pair = generate_random_pair(spec, seed, target_unit_cosines=k)
+        rng = np.random.default_rng([m, k, seed])
+        g = (bccanon.haar_unitary(m, rng) * np.logspace(0, -8, m)) @ bccanon.haar_unitary(m, rng)
+        expected = bccanon.canonical_decompose(pair)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [str(Path(tmp) / f"{side}.json") for side in "AB"]
+            for path, matrix in zip(paths, (g @ pair.A, g @ pair.B)):
+                write_matrix_file(path, matrix)
+            for command, extra in (("classify", []), ("canon", ["--out", str(Path(tmp) / "f")])):
+                report, code = run_command([command, *paths, *extra])
+                assert code == 0, report.verdict
+                assert report.metrics["rank_A"] == expected.rank == m - k
+                assert report.verdict == expected.classification.value
+
+
 class TestClassify:
     def test_identity_coupling_fixture(self, fixtures_dir):
         report, code = run_command(

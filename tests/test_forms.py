@@ -34,6 +34,7 @@ from bccanon import (
     random_unitary,
     recover_W,
     row_space_angles,
+    symplectic_matrix,
     unitarity_residual,
 )
 import bccanon
@@ -430,11 +431,6 @@ class TestPredictedRanks:
     def test_ill_mixed_pair_passes_the_check(self, seed):
         assert check_self_adjoint(self._ill_mixed(seed)).ok
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: roundoff of order eps cond(G) in a zero corner block of W exceeds RANK_REL "
-        "(ROADMAP, 'The right class under ill-conditioned row operations')",
-    )
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ill_mixed_pair_keeps_its_rank(self, seed):
         assert canonical_decompose(self._ill_mixed(seed)).rank == 3
@@ -536,6 +532,75 @@ class TestFromMatricesErrors:
         assert pair.spec == SPEC3
         assert pair.A.dtype == pair.B.dtype == np.complex128
         assert np.array_equal(pair.A, np.eye(3))
+
+    @pytest.mark.parametrize("scale", [1e-315, 1e-320])
+    def test_subnormal_pair_is_refused(self, scale):
+        # Mixed, rank A = 4; at these scales its entries have lost about half their digits.
+        pair = generate_random_pair(SPEC5, 1, target_unit_cosines=1)
+        with pytest.raises(ValueError, match=re.escape("every entry is subnormal or zero (largest part ")):
+            BoundaryPair.from_matrices(scale * pair.A, scale * pair.B)
+
+    def test_zero_and_partly_subnormal_pairs_are_accepted(self):
+        tiny = np.full((3, 3), 1e-320)
+        assert not check_self_adjoint(BoundaryPair.from_matrices(np.zeros((3, 3)), np.zeros((3, 3)))).rank_ok
+        BoundaryPair.from_matrices(tiny + np.diag([np.finfo(float).tiny, 0.0, 0.0]), tiny)
+        BoundaryPair.from_matrices(tiny, 1j * np.finfo(float).tiny * np.eye(3))
+
+
+class TestEigenspaceMeasurement:
+    """The pair is measured once, as (P~ : R~) = (A : B) sqrt(2) V gathered with exact coefficients."""
+
+    @given(m=st.sampled_from([*range(2, 18), 64, 65]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_residual_is_the_direct_one(self, m, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for _ in "AB")
+        c = symplectic_matrix(m)
+        direct = np.linalg.norm(a @ c @ a.conj().T - b @ c @ b.conj().T)
+        residual = check_self_adjoint(BoundaryPair.from_matrices(a, b)).gram_residual
+        assert abs(residual - direct) <= 1e-13 * direct
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 64, 65, 128, 129])
+    def test_exact_pairs_read_exactly_zero(self, m):
+        # (I, I), and (diag(1, 0), diag(0, 1)) generalized: A keeps the first half of the rows, B the
+        # second, and at odd order both keep the middle one.
+        index = np.arange(m)
+        for a, b in ((np.eye(m), np.eye(m)), (np.diag(1.0 * (index < m - m // 2)), np.diag(1.0 * (index >= m // 2)))):
+            report = check_self_adjoint(BoundaryPair.from_matrices(a, b))
+            assert (report.gram_residual, report.rank_AB, report.ok) == (0.0, m, True)
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 17, 64, 65])
+    def test_gather_is_one_rounding_from_the_dense_product(self, m):
+        spec = OrderSpec(m)
+        normalized = generate_random_pair(spec, m)
+        g = conditioned_invertible(m, np.random.default_rng(m))
+        pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+        scaled_v = np.sqrt(2.0) * eigenbasis(spec).V
+        dense = pair.stacked() @ scaled_v
+        # One rounding of a sum of two terms: eps times the sum of their magnitudes.
+        bound = np.finfo(float).eps * (np.abs(pair.stacked()) @ np.abs(scaled_v))
+        assert pair._coordinates.shape == (m, 2 * m)
+        assert np.all(np.abs(pair._coordinates - dense) <= bound)
+
+    @pytest.mark.parametrize("m", [*range(2, 18), 64, 65])
+    def test_dense_and_gathered_products_agree(self, m):
+        # Below order 16 the product is a dense one with the exact coefficients; it must equal the gather.
+        basis = eigenbasis(OrderSpec(m))
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((m, 2 * m)) + 1j * rng.standard_normal((m, 2 * m))
+        rows, coefficients = basis._rows, basis._coefficients
+        gathered = x[:, rows[0]] * coefficients[0] + x[:, rows[1]] * coefficients[1]
+        assert np.array_equal(basis._scaled_product(x), gathered)
+        assert (basis._exact is None) is (m >= 16)
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_recovery_reads_the_check_s_measurement(self, m):
+        pair = generate_random_pair(OrderSpec(m), 3)
+        check_self_adjoint(pair)
+        coordinates = pair._coordinates
+        form = canonical_decompose(pair)
+        assert pair._coordinates is coordinates
+        assert np.array_equal(form.P, coordinates[:, :m] / np.sqrt(2.0))
 
 
 class TestMeasuredOnce:

@@ -42,7 +42,10 @@ def test_output_digest_smoke(tmp_path):
     # rank (A : B) = 4 on the repeated-row copy: check reports the criterion, classify and canon fail.
     repeated = {f"{c} repeated-row-m5 {fmt}" for c in ("check", "classify", "canon") for fmt in ("json", "text")}
     assert all(runs[name]["exit"] == (1 if name.startswith("check") else 3) for name in repeated)
-    passing = {name: run for name, run in runs.items() if name not in errors | repeated}
+    # Every entry of the copy at 1e-315 is subnormal: the pair commands refuse it as input.
+    subnormal = {f"{c} scaled-m5-s1e-315 {fmt}" for c in ("check", "classify", "canon") for fmt in ("json", "text")}
+    assert all(runs[name]["exit"] == 2 and runs[name]["files"] == {} for name in subnormal)
+    passing = {name: run for name, run in runs.items() if name not in errors | repeated | subnormal}
     assert all(run["exit"] == 0 and len(run["stdout"]) == 64 for run in passing.values())
     assert set(runs["generate m5-k2 json"]["files"]) == {"A.json", "B.json"}
     assert {"Q1.json", "manifest.json"} <= set(runs["canon m5-k2 text"]["files"])
