@@ -45,6 +45,7 @@ from .linalg import (
     unit_rank,
 )
 from .structure import (
+    _GATHER_MIN,
     OrderSpec,
     eigenbasis,
     even_order_Z,
@@ -139,14 +140,16 @@ class BoundaryPair:
     @cached_property
     def _criterion_numbers(self) -> tuple[float, int, np.ndarray | None]:
         """(Gram residual, inf or nan on overflow; rank (A : B); its singular values, or None when certified)."""
-        m = self.spec.m
-        p, r = self._coordinates[:, :m], self._coordinates[:, m:]
+        m, coordinates = self.spec.m, self._coordinates
         with np.errstate(over="ignore", invalid="ignore"):
-            pp, rr = p @ p.conj().T, r @ r.conj().T
+            if m < _GATHER_MIN:  # one matmul on the (2, m, m) view (P~, R~): each product as a separate one
+                halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)
+                pp, rr = halves @ halves.conj().transpose(0, 2, 1)
+            else:  # two, where (2, m, m) temporaries would cost fresh pages
+                pp, rr = (x @ x.conj().T for x in (coordinates[:, :m], coordinates[:, m:]))
             gram = pp + rr
             rr -= pp
-            residual = 0.5 * float(np.linalg.norm(rr))
-        return residual, *_row_rank(self._ab, gram)
+            return 0.5 * float(np.linalg.norm(rr)), *_row_rank(self._ab, gram)
 
     @cached_property
     def _block_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -242,36 +245,38 @@ construct_even_from_W = construct_from_W
 
 
 def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
-    """(W, P): the unique unitary W and the P with (A : B) = P (I : W) V*.
+    """(W, P~): the unique unitary W and P~ = sqrt(2) P, with (A : B) = P (I : W) V*.
 
-    Checks the self-adjointness criterion, then reads the split of (A : B)
-    over the two column halves (eigenspaces) of V that the check measured,
-    (A : B) sqrt(2) V = (P~ : R~) with R~ = P~ W, and returns
-    P = P~ / sqrt(2): no product with V is formed.  When X = P~^-1 R~ (one
-    LU solve) is unitary within ``UNITARY_ABS``, one Newton-Schulz step
-    X (3I - X*X) / 2 gives its unitary polar factor, to an error of order
-    the square of X's unitarity residual.  Otherwise W is composed from the
+    Applies ``tol`` to the pair's criterion numbers, then reads the split
+    (A : B) sqrt(2) V = (P~ : R~), R~ = P~ W, that the check measured.  When
+    X = P~^-1 R~ (one LU solve) is unitary within ``UNITARY_ABS``, one
+    Newton-Schulz step X (3I - X*X) / 2 gives its unitary polar factor, to
+    an error of order the square of X's unitarity residual (Higham,
+    Functions of Matrices, 2008, ch. 8).  Otherwise W is composed from the
     SVDs of P~ and R~, raising RankDeficient on a numerically singular P.
     """
-    report = check_self_adjoint(pair, tol)
-    if not report.ok:
-        raise NotSelfAdjoint(
-            f"rank(A:B)={report.rank_AB} (need {pair.spec.m}), gram residual {report.gram_residual:.3e}"
-        )
     m = pair.spec.m
+    gram_residual, rank_ab, _ = pair._criterion_numbers
+    if not (rank_ab == m and gram_residual <= tol.residual_abs):
+        raise NotSelfAdjoint(f"rank(A:B)={rank_ab} (need {m}), gram residual {gram_residual:.3e}")
     p_scaled, r_scaled = pair._coordinates[:, :m], pair._coordinates[:, m:]
     try:
         x = np.linalg.solve(p_scaled, r_scaled)
-        gram, eye = x.conj().T @ x, np.eye(m)
-        if np.max(np.abs(gram - eye)) <= UNITARY_ABS:
-            return x @ (1.5 * eye - 0.5 * gram), p_scaled / np.sqrt(2.0)
+        step = x.conj().T @ x  # becomes X*X - I, then 1.5 I - 0.5 X*X, in place
+        diagonal = step.reshape(-1)[:: m + 1]  # a view: the product is C-contiguous
+        diagonal -= 1.0
+        if abs(step).max() <= UNITARY_ABS:
+            step *= 0.5
+            np.subtract(0.0, step, out=step)  # 0.0 - h, as 1.5 I - 0.5 X*X rounds it: each zero +0.0
+            diagonal += 1.0
+            return x @ step, p_scaled
     except np.linalg.LinAlgError:  # P exactly singular
         pass
     up, sp, vph = np.linalg.svd(p_scaled)
     ur, _, vrh = np.linalg.svd(r_scaled)
     if relative_rank(sp) < m:
         raise RankDeficient("eigenspace coefficient matrix is numerically singular")
-    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_scaled / np.sqrt(2.0)
+    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_scaled
 
 
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -327,19 +332,6 @@ def _k_matrix(cs: CsFactors) -> np.ndarray:
     return (cs.u1, cs.u2)[big][rest, :] @ cs.core[block, block]
 
 
-def _corner_blocks(w: np.ndarray, spec: OrderSpec):
-    """((offset, block) for rank A, (offset, block) for rank B) of the pair with coupling unitary W.
-
-    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
-    rank B = p + rank W[:q, p:], each block rank counting the singular
-    values above the absolute cutoff ``RANK_REL``.  At even order p = q = n
-    and both blocks have the sines as singular values, so each rank is
-    n + rank S.  :func:`canonical_decompose` decides with the rank A block.
-    """
-    p, q = spec.csd_partition
-    return (q, w[q:, :p]), (p, w[:q, p:])
-
-
 def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
     """rank A of ``pair``, whose recovered coupling unitary is W, from one corner block.
 
@@ -347,17 +339,26 @@ def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
     W errs by about eps kappa, and at kappa near 1e8 that exceeds RANK_REL.
     kappa costs no SVD when the check ran one, nor when no value of the
     block lies where a kappa the certificate allows could move the rank.
+    With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
+    rank B = p + rank W[:q, p:] (both n + rank S at even order); the rank
+    A block decides.  When every sine is decided zero (rank A = m - n),
+    W's off-diagonal CS blocks are zeroed in place: the CSD's
+    block-diagonal shortcut then gives u1 = u2 = I and an exact K.
     """
-    offset, block = _corner_blocks(w, pair.spec)[0]
-    return offset + unit_rank(block, pair._recovery_noise())
+    p, q = pair.spec.csd_partition
+    rank = q + unit_rank(w[q:, :p], pair._recovery_noise())
+    if rank == pair.spec.m - pair.spec.n:
+        for block in (w[:p, p:], w[p:, :p]):
+            block[block != 0] = 0.0  # an entry already zero keeps its sign bit
+    return rank
 
 
 @dataclass(frozen=True, eq=False)
 class _Form:
     """Fields and CS factors shared by both canonical forms.
 
-    Holds the recovered W, its left factor P with (A : B) = P (I : W) V*,
-    and rank A (= rank B), from which the class follows.  The CS factors
+    Holds the recovered W, P~ = sqrt(2) P for its left factor P with
+    (A : B) = P (I : W) V*, and rank A (= rank B).  The CS factors
     ``cs`` of W over ``spec.csd_partition``, and every factor built from
     them, are derived on first access and cached; the first such read runs
     the CS decomposition and may raise ConvergenceFailure.
@@ -365,8 +366,12 @@ class _Form:
 
     spec: OrderSpec
     W: np.ndarray
-    P: np.ndarray
+    _p_scaled: np.ndarray
     rank: int
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return self._p_scaled / np.sqrt(2.0)
 
     @property
     def classification(self) -> Classification:
@@ -399,7 +404,7 @@ class CanonicalForm(_Form):
     reconstruction agrees with the row-normalized representative of the
     input pair, not the raw input.  ``Q2 = diag-factor @ Q3`` and
     ``Q3 = selector @ Q4``.  rank A = rank B is decided on a corner block of
-    W (see :func:`_corner_blocks`); it equals 2n+1 - (n - rank M),
+    W (see :func:`_decide`); it equals 2n+1 - (n - rank M),
     where M M* = I - K K* and M = U_big[rest, rest] diag(sin).
     """
 
@@ -500,9 +505,9 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     balanced partition p = q = n.  The CS decomposition of W and every
     factor built from it are left to the returned form to derive when read.
     """
-    w, p_coef = _recover_coupling(pair, tol)
+    w, p_scaled = _recover_coupling(pair, tol)
     form = CanonicalForm if pair.spec.is_odd_order else EvenCanonicalForm
-    return form(pair.spec, w, p_coef, _decide(w, pair))
+    return form(pair.spec, w, p_scaled, _decide(w, pair))
 
 
 even_canonical_decompose = canonical_decompose

@@ -213,12 +213,13 @@ def _row_rank(x: np.ndarray, gram: np.ndarray) -> tuple[int, np.ndarray | None]:
     which ``_GRAM_ROUNDOFF`` takes as 8.  The values-only SVD of ``x`` runs
     when the factorization fails or delta is not a finite normal number
     (x near overflow or underflow), and its values are returned with the
-    rank; on success the second item is None.
+    rank; on success the second item is None.  The caller supplies the
+    ``np.errstate(over="ignore", invalid="ignore")`` under which it formed G:
+    the shift overflows with it.
     """
     m = x.shape[0]
     diagonal = gram.reshape(-1)[:: m + 1]  # a view: gram is C-contiguous
-    with np.errstate(over="ignore", invalid="ignore"):
-        shift = _GRAM_SHIFT * m * m * diagonal.real.sum()
+    shift = _GRAM_SHIFT * m * m * diagonal.real.sum()
     if _GRAM_SHIFT_MIN <= shift < np.inf:
         diagonal -= shift
         try:

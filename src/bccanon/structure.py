@@ -91,6 +91,12 @@ def symplectic_matrix(m: int) -> np.ndarray:
     return c
 
 
+def _exact(v: np.ndarray) -> np.ndarray:
+    """sqrt(2) v for entries 0, +-1/sqrt(2), +-i/sqrt(2) or 1 of V, rounded to the exact +-1 or +-i."""
+    scaled = np.sqrt(2.0) * v
+    return np.where(np.abs(v) == 1.0, scaled, np.round(scaled))
+
+
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Unitary 2m x 2m V whose column halves span two opposite eigenspaces.
@@ -117,20 +123,19 @@ class EigenBasis:
     def __post_init__(self):
         v = self.V
         v.flags.writeable = False
-        scaled = np.sqrt(2.0) * v
-        # sqrt(2) times a rounded 1/sqrt(2) is +-1 (+-i) only to roundoff: round it there.
-        exact = np.where(np.abs(v) == 1.0, scaled, np.round(scaled))
-        nonzero = v != 0
-        columns = np.arange(v.shape[1])
-        first = np.argmax(nonzero, axis=0)
-        last = v.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
-        rows = np.array([first, last])
-        coefficients = np.array([exact[first, columns], np.where(last > first, exact[last, columns], 0.0)])
-        for value in (exact, rows, coefficients):
-            value.flags.writeable = False
-        object.__setattr__(self, "_exact", exact if v.shape[0] < 2 * _GATHER_MIN else None)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_coefficients", coefficients)
+        columns, rows = np.nonzero(v.T)  # one pass; by column, and by row within a column
+        ends = np.searchsorted(columns, np.arange(v.shape[1] + 1))
+        first, last = ends[:-1], ends[1:] - 1
+        exact = _exact(v[rows, columns])
+        tables = (
+            np.array([rows[first], rows[last]]),
+            np.array([exact[first], np.where(last > first, exact[last], 0.0)]),
+            _exact(v) if v.shape[0] < 2 * _GATHER_MIN else None,
+        )
+        for name, value in zip(("_rows", "_coefficients", "_exact"), tables):
+            if value is not None:
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def _scaled_product(self, x: np.ndarray) -> np.ndarray:
         """``x @ (sqrt(2) V)`` for an x with 2m columns, with one rounding per entry.
@@ -202,15 +207,16 @@ def even_order_Z(n: int) -> np.ndarray:
 
     Product of a 1/sqrt(2)-scaled sum/difference block matrix with the
     block-diagonal phase factor diag(I, (-1)^(n+1) i C_n, I, (-1)^(n+1) i C_n);
-    block-diagonal over the two 2n x 2n quadrants.
+    block-diagonal over the two 2n x 2n quadrants.  Its entries +-1/sqrt(2)
+    and +-i/sqrt(2) are placed, every other part +0.0: the product's bits.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    eye = np.eye(n, dtype=complex)
-    butterfly = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
-    first = block_diag(butterfly, butterfly)
-    kappa = (-1.0) ** (n + 1) * 1j
-    cn = symplectic_matrix(n)
-    second = block_diag(eye, kappa * cn, eye, kappa * cn)
-    return first @ second
-
+    half = 1.0 / np.sqrt(2.0)
+    i = np.arange(n)
+    phase = (-1.0) ** (n + i) * half  # (-1)^(n+1) i C_n / sqrt(2) has i (-1)^(n+i) / sqrt(2) at (i, n-1-i)
+    quadrant = np.zeros((2 * n, 2 * n), dtype=complex)
+    quadrant.real[i, i] = quadrant.real[n + i, i] = half
+    quadrant.imag[i, 2 * n - 1 - i] = phase
+    quadrant.imag[n + i, 2 * n - 1 - i] = -phase
+    return block_diag(quadrant, quadrant)

@@ -41,6 +41,11 @@ def count_choleskys(monkeypatch):
 
 
 @pytest.fixture
+def count_solves(monkeypatch):
+    return _call_recorder(monkeypatch, "solve")
+
+
+@pytest.fixture
 def ill_conditioned_pair():
     """An m = 5 pair mixed by a G with cond 1e10, whose coefficient matrix P is numerically singular."""
     spec = OrderSpec(5)

@@ -39,7 +39,6 @@ from bccanon import (
 )
 import bccanon
 from bccanon import csd
-from bccanon.forms import _corner_blocks
 from bccanon.linalg import RANK_REL, UNITARY_ABS, unit_rank
 
 SPEC5 = OrderSpec.from_order(5)
@@ -61,8 +60,9 @@ def conditioned_invertible(m, rng):
 
 
 def corner_block_ranks(w, spec):
-    """(rank A, rank B) from the two corner blocks of W: offset plus the block's rank at ``RANK_REL``."""
-    return tuple(offset + unit_rank(block) for offset, block in _corner_blocks(w, spec))
+    """(rank A, rank B) = (q + rank W[q:, :p], p + rank W[:q, p:]), each block cut at ``RANK_REL``."""
+    p, q = spec.csd_partition
+    return q + unit_rank(w[q:, :p]), p + unit_rank(w[:q, p:])
 
 
 def svd_route_w(pair):
@@ -103,8 +103,12 @@ class TestCheckSelfAdjoint:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = check_self_adjoint(pair)
+            if scale < 1.0:
+                form = canonical_decompose(pair)
         assert report.rank_AB == m
         assert report.gram_ok is (scale < 1.0)
+        if scale < 1.0:
+            assert form.classification is Classification.COUPLED
 
 
 scale_defect = pytest.mark.xfail(
@@ -279,6 +283,42 @@ class TestRecoverW:
         for seed in range(4):
             w = canonical_decompose(generate_random_pair(spec, seed, target_unit_cosines=spec.n)).W
             assert not w[:p, p:].any() and not w[p:, :p].any()
+
+    @pytest.mark.parametrize("m", range(3, 14))
+    def test_sines_decided_zero_give_exactly_block_diagonal_w(self, m):
+        # Row-mixed, W's off-diagonal blocks are roundoff, not zeros; the decision rank A = m - n zeroes them,
+        # so the CSD takes its block-diagonal shortcut: u1 = u2 = I, and K is exact.
+        spec = OrderSpec.from_order(m)
+        p, q = spec.csd_partition
+        rng = np.random.default_rng([m, 25])
+        for seed in range(2):
+            normalized = generate_random_pair(spec, seed, target_unit_cosines=spec.n)
+            for cond in (1.0, 1e3, 1e6):
+                g = (haar_unitary(m, rng) * np.logspace(0, -np.log10(cond), m)) @ haar_unitary(m, rng)
+                form = canonical_decompose(BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec))
+                assert form.rank == m - spec.n
+                assert not form.W[:p, p:].any() and not form.W[p:, :p].any()
+                assert np.array_equal(form.cs.u1, np.eye(p)) and np.array_equal(form.cs.u2, np.eye(q))
+                assert np.array_equal(form.cs.cos, np.ones(spec.n)) and not form.cs.sin.any()
+                assert unitarity_residual(form.W) <= 1e-14
+
+    @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
+    def test_newton_schulz_step_is_the_dense_expression(self, m):
+        # W = X (1.5 I - 0.5 X*X) in every bit, the sign of each zero included.
+        spec = OrderSpec.from_order(m)
+        index = np.arange(m)
+        pairs = [
+            BoundaryPair.from_matrices(np.eye(m), np.eye(m)),
+            BoundaryPair.from_matrices(np.diag(1.0 * (index < m - m // 2)), np.diag(1.0 * (index >= m // 2))),
+            *(generate_random_pair(spec, seed, target_unit_cosines=spec.n) for seed in range(3)),
+            generate_random_pair(spec, 3),
+        ]
+        for pair in pairs:
+            x = np.linalg.solve(pair._coordinates[:, :m], pair._coordinates[:, m:])
+            expected = x @ (1.5 * np.eye(m) - 0.5 * (x.conj().T @ x))
+            w = recover_W(pair)
+            assert np.array_equal(w, expected)
+            assert np.array_equal(np.signbit(w.view(float)), np.signbit(expected.view(float)))
 
 
 class TestCanonicalDecompose:
@@ -593,6 +633,23 @@ class TestEigenspaceMeasurement:
         assert np.array_equal(basis._scaled_product(x), gathered)
         assert (basis._exact is None) is (m >= 16)
 
+    @pytest.mark.parametrize("m", [*range(2, 18), 64, 65, 128, 129])
+    def test_stacked_gram_products_equal_separate_ones(self, m):
+        # Below order 16 the pair forms P~ P~* and R~ R~* in one matmul on a strided (2, m, m) view of its
+        # coordinates; numpy must hand each to BLAS as it would the separate products, or the verdict's bits move.
+        spec = OrderSpec(m)
+        normalized = generate_random_pair(spec, m)
+        g = conditioned_invertible(m, np.random.default_rng(m))
+        pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+        coordinates = pair._coordinates
+        halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)
+        stacked = halves @ halves.conj().transpose(0, 2, 1)
+        p, r = coordinates[:, :m], coordinates[:, m:]
+        separate = np.array([p @ p.conj().T, r @ r.conj().T])
+        assert np.array_equal(stacked, separate)
+        assert np.array_equal(np.signbit(stacked.view(float)), np.signbit(separate.view(float)))
+        assert pair._criterion_numbers[0] == 0.5 * float(np.linalg.norm(separate[1] - separate[0]))
+
     @pytest.mark.parametrize("m", [5, 6])
     def test_recovery_reads_the_check_s_measurement(self, m):
         pair = generate_random_pair(OrderSpec(m), 3)
@@ -675,17 +732,18 @@ class TestMeasuredOnce:
         with pytest.raises(ValueError):
             cs.core[0, 0] = 0.0
 
-    @pytest.mark.parametrize("m", [5, 6])
-    def test_check_then_decompose_runs_one_svd(self, count_svds, count_choleskys, m):
+    @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
+    def test_check_then_decompose_runs_one_svd(self, count_svds, count_choleskys, count_solves, m):
         pair = generate_random_pair(OrderSpec.from_order(m), 3)
-        calls, factorizations = count_svds(), count_choleskys()
+        calls, factorizations, solves = count_svds(), count_choleskys(), count_solves()
         check_self_adjoint(pair)
         canonical_decompose(pair)
         # One corner block for the rank.  rank (A : B) = m is certified by a
-        # Cholesky of its Gram matrix, W is solved for, with no SVD, and no
-        # rank of A or B is read.
+        # Cholesky of its Gram matrix, W is solved for by one LU solve, with
+        # no SVD, and no rank of A or B is read.
         assert len(calls) == 1, calls
         assert factorizations == [(m, m)]
+        assert solves == [(m, m)]
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_second_check_runs_no_svd(self, count_svds, count_choleskys, m):
@@ -803,7 +861,8 @@ class TestFixedCutoffs:
     @pytest.mark.parametrize("m", [5, 6])
     def test_form_fields(self, m):
         form = canonical_decompose(generate_random_pair(OrderSpec.from_order(m), 1))
-        assert [f.name for f in dataclasses.fields(form)] == ["spec", "W", "P", "rank"]
+        # P = P~ / sqrt(2) is formed on first read, from the kept P~.
+        assert [f.name for f in dataclasses.fields(form)] == ["spec", "W", "_p_scaled", "rank"]
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_block_ranks_cut_at_rank_rel(self, m):

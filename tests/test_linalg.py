@@ -292,9 +292,9 @@ def _row_rank(x: np.ndarray) -> int:
 
     When the SVD ran, the values it returns must be the values-only SVD's.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the context _row_rank leaves to its caller
         gram = x @ x.conj().T
-    rank, sigma = linalg._row_rank(x, gram)
+        rank, sigma = linalg._row_rank(x, gram)
     assert sigma is None or np.array_equal(sigma, linalg._svdvals(x))
     return rank
 

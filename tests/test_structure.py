@@ -40,6 +40,36 @@ def _fields_by_formula(m):
     return n, "EVEN_ORDER", (n, n)
 
 
+def _same_bits(a, b):
+    """Equal values, with the same sign on every zero part."""
+    return (
+        np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )
+
+
+def _displayed_factor_product(n):
+    """Z as the product of its two displayed factors: the 1/sqrt(2) butterflies and the phase blocks."""
+    eye = np.eye(n, dtype=complex)
+    butterfly = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
+    kappa = (-1.0) ** (n + 1) * 1j
+    phase = block_diag(eye, kappa * symplectic_matrix(n), eye, kappa * symplectic_matrix(n))
+    return block_diag(butterfly, butterfly) @ phase
+
+
+def _scanned_tables(v):
+    """(dense sqrt(2) V, rows, coefficients) by scans of the whole V: first and last nonzero row per column."""
+    scaled = np.sqrt(2.0) * v
+    exact = np.where(np.abs(v) == 1.0, scaled, np.round(scaled))
+    nonzero = v != 0
+    columns = np.arange(v.shape[1])
+    first = np.argmax(nonzero, axis=0)
+    last = v.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)
+    coefficients = np.array([exact[first, columns], np.where(last > first, exact[last, columns], 0.0)])
+    return exact, np.array([first, last]), coefficients
+
+
 def _case_id(m):
     # The ids name the case as the deleted Parity enum did, so they stay stable.
     n, case, _ = _fields_by_formula(m)
@@ -163,6 +193,16 @@ class TestEigenbasis:
         assert np.max(np.abs(h @ plus - plus)) < 1e-14
 
 
+    @pytest.mark.parametrize("m", [*range(2, 18), 64, 65, 128, 129])
+    def test_gather_tables_match_scans_of_the_whole_basis(self, m):
+        # One nonzero pass over V gives the tables that scans of every entry give, in every bit.
+        basis = eigenbasis(OrderSpec(m))
+        exact, rows, coefficients = _scanned_tables(basis.V)
+        assert np.array_equal(basis._rows, rows)
+        assert _same_bits(basis._coefficients, coefficients)
+        assert basis._exact is None if m >= 16 else _same_bits(basis._exact, exact)
+
+
 class TestQ4Matrix:
     def test_n_two_block(self):
         # (-1)^(n+1) C2* = C2 at n=2, so the block reads [I2 0 C2; 0 sqrt2 0; I2 0 -C2]
@@ -215,14 +255,14 @@ class TestEvenOrderZ:
         )
         assert np.max(np.abs(even_order_Z(1) - expected)) < 1e-15
 
-    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("n", [*range(1, 5), 32, 64, 100])
     def test_matches_displayed_factor_product(self, n):
-        eye = np.eye(n, dtype=complex)
-        butterfly = np.block([[eye, eye], [eye, -eye]]) / np.sqrt(2.0)
-        kappa = (-1.0) ** (n + 1) * 1j
-        phase = block_diag(eye, kappa * symplectic_matrix(n), eye, kappa * symplectic_matrix(n))
-        product = block_diag(butterfly, butterfly) @ phase
-        assert np.max(np.abs(even_order_Z(n) - product)) < 1e-15
+        # Z's entries are placed, not multiplied out; they must be the product's in every bit, +0.0 zeros included.
+        product = _displayed_factor_product(n)
+        z = even_order_Z(n)
+        assert _same_bits(z, product)
+        # V's even layout takes the column blocks of Z* in the order (2, 3, 1, 4).
+        assert _same_bits(eigenbasis(OrderSpec(2 * n)).V, product.conj().T[:, np.r_[n : 3 * n, :n, 3 * n : 4 * n]])
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_unitary(self, n):
