@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 
-# From this order up, EigenBasis._scaled_product gathers columns in place of a dense product.
+# Below this order fewer numpy calls beat smaller temporaries: from it up, EigenBasis._scaled_product
+# gathers columns in place of a dense product, and BoundaryPair forms its two Gram products separately.
 _GATHER_MIN = 16
 
 
