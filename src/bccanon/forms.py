@@ -45,7 +45,6 @@ from .linalg import (
     unit_rank,
 )
 from .structure import (
-    _GATHER_MIN,
     OrderSpec,
     eigenbasis,
     even_order_Z,
@@ -141,12 +140,9 @@ class BoundaryPair:
     def _criterion_numbers(self) -> tuple[float, int, np.ndarray | None]:
         """(Gram residual, inf or nan on overflow; rank (A : B); its singular values, or None when certified)."""
         m, coordinates = self.spec.m, self._coordinates
+        halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)  # the (2, m, m) view (P~, R~)
         with np.errstate(over="ignore", invalid="ignore"):
-            if m < _GATHER_MIN:  # one matmul on the (2, m, m) view (P~, R~): each product as a separate one
-                halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)
-                pp, rr = halves @ halves.conj().transpose(0, 2, 1)
-            else:  # two, where (2, m, m) temporaries would cost fresh pages
-                pp, rr = (x @ x.conj().T for x in (coordinates[:, :m], coordinates[:, m:]))
+            pp, rr = halves @ halves.conj().transpose(0, 2, 1)  # one matmul: each product as a separate one
             gram = pp + rr
             rr -= pp
             return 0.5 * float(np.linalg.norm(rr)), *_row_rank(self._ab, gram)
@@ -210,6 +206,12 @@ class SelfAdjointReport:
         return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in self._items())})"
 
 
+def _criterion(pair: BoundaryPair, tol: Tolerances) -> tuple[int, bool, float, bool]:
+    """(rank (A : B), whether it is m, Gram residual, whether it is within ``tol``): a report's verdict fields."""
+    gram_residual, rank_ab, _ = pair._criterion_numbers
+    return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
+
+
 def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> SelfAdjointReport:
     """Evaluate rank (A : B) = m and A C_m A* = B C_m B*; never raises.
 
@@ -217,8 +219,7 @@ def check_self_adjoint(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Sel
     Cholesky certifies rank (A : B) = m, and the SVD of (A : B) runs only
     when it fails.  rank A and rank B are measured only when read.
     """
-    gram_residual, rank_ab, _ = pair._criterion_numbers
-    return SelfAdjointReport(rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs, pair)
+    return SelfAdjointReport(*_criterion(pair, tol), pair)
 
 
 def construct_from_W(w, spec: OrderSpec) -> BoundaryPair:
@@ -245,10 +246,11 @@ construct_even_from_W = construct_from_W
 
 
 def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
-    """(W, P~): the unique unitary W and P~ = sqrt(2) P, with (A : B) = P (I : W) V*.
+    """(W, P): the unique unitary W and the P with (A : B) = P (I : W) V*.
 
     Applies ``tol`` to the pair's criterion numbers, then reads the split
-    (A : B) sqrt(2) V = (P~ : R~), R~ = P~ W, that the check measured.  When
+    (A : B) sqrt(2) V = (P~ : R~), R~ = P~ W, that the check measured, and
+    returns P = P~ / sqrt(2): no product with V is formed.  When
     X = P~^-1 R~ (one LU solve) is unitary within ``UNITARY_ABS``, one
     Newton-Schulz step X (3I - X*X) / 2 gives its unitary polar factor, to
     an error of order the square of X's unitarity residual (Higham,
@@ -256,8 +258,8 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     SVDs of P~ and R~, raising RankDeficient on a numerically singular P.
     """
     m = pair.spec.m
-    gram_residual, rank_ab, _ = pair._criterion_numbers
-    if not (rank_ab == m and gram_residual <= tol.residual_abs):
+    rank_ab, rank_ok, gram_residual, gram_ok = _criterion(pair, tol)
+    if not (rank_ok and gram_ok):
         raise NotSelfAdjoint(f"rank(A:B)={rank_ab} (need {m}), gram residual {gram_residual:.3e}")
     p_scaled, r_scaled = pair._coordinates[:, :m], pair._coordinates[:, m:]
     try:
@@ -269,14 +271,14 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
             step *= 0.5
             np.subtract(0.0, step, out=step)  # 0.0 - h, as 1.5 I - 0.5 X*X rounds it: each zero +0.0
             diagonal += 1.0
-            return x @ step, p_scaled
+            return x @ step, p_scaled / np.sqrt(2.0)
     except np.linalg.LinAlgError:  # P exactly singular
         pass
     up, sp, vph = np.linalg.svd(p_scaled)
     ur, _, vrh = np.linalg.svd(r_scaled)
     if relative_rank(sp) < m:
         raise RankDeficient("eigenspace coefficient matrix is numerically singular")
-    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_scaled
+    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_scaled / np.sqrt(2.0)
 
 
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -342,14 +344,19 @@ def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
     With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
     rank B = p + rank W[:q, p:] (both n + rank S at even order); the rank
     A block decides.  When every sine is decided zero (rank A = m - n),
-    W's off-diagonal CS blocks are zeroed in place: the CSD's
-    block-diagonal shortcut then gives u1 = u2 = I and an exact K.
+    W's off-diagonal CS blocks are zeroed in place, unless that could take
+    W's unitarity residual above ``UNITARY_ABS`` (at kappa near 1e10): the
+    CSD's block-diagonal shortcut then gives u1 = u2 = I and an exact K.
     """
     p, q = pair.spec.csd_partition
     rank = q + unit_rank(w[q:, :p], pair._recovery_noise())
     if rank == pair.spec.m - pair.spec.n:
-        for block in (w[:p, p:], w[p:, :p]):
-            block[block != 0] = 0.0  # an entry already zero keeps its sign bit
+        blocks = (w[:p, p:], w[p:, :p])
+        # Zeroing moves W*W - I by at most a block's squared Frobenius norm; the other half of
+        # UNITARY_ABS is left to W's own roundoff, so the form's CSD still accepts W.
+        if max(np.vdot(b, b).real for b in blocks) <= 0.5 * UNITARY_ABS:
+            for block in blocks:
+                block[block != 0] = 0.0  # an entry already zero keeps its sign bit
     return rank
 
 
@@ -357,8 +364,8 @@ def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
 class _Form:
     """Fields and CS factors shared by both canonical forms.
 
-    Holds the recovered W, P~ = sqrt(2) P for its left factor P with
-    (A : B) = P (I : W) V*, and rank A (= rank B).  The CS factors
+    Holds the recovered W, its left factor P with (A : B) = P (I : W) V*,
+    and rank A (= rank B), from which the class follows.  The CS factors
     ``cs`` of W over ``spec.csd_partition``, and every factor built from
     them, are derived on first access and cached; the first such read runs
     the CS decomposition and may raise ConvergenceFailure.
@@ -366,12 +373,8 @@ class _Form:
 
     spec: OrderSpec
     W: np.ndarray
-    _p_scaled: np.ndarray
+    P: np.ndarray
     rank: int
-
-    @cached_property
-    def P(self) -> np.ndarray:
-        return self._p_scaled / np.sqrt(2.0)
 
     @property
     def classification(self) -> Classification:
@@ -505,9 +508,9 @@ def canonical_decompose(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> Ca
     balanced partition p = q = n.  The CS decomposition of W and every
     factor built from it are left to the returned form to derive when read.
     """
-    w, p_scaled = _recover_coupling(pair, tol)
+    w, p_coef = _recover_coupling(pair, tol)
     form = CanonicalForm if pair.spec.is_odd_order else EvenCanonicalForm
-    return form(pair.spec, w, p_scaled, _decide(w, pair))
+    return form(pair.spec, w, p_coef, _decide(w, pair))
 
 
 even_canonical_decompose = canonical_decompose

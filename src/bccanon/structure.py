@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-# Below this order fewer numpy calls beat smaller temporaries: from it up, EigenBasis._scaled_product
-# gathers columns in place of a dense product, and BoundaryPair forms its two Gram products separately.
+# From this order up, EigenBasis._scaled_product gathers columns in place of a dense product.
 _GATHER_MIN = 16
 
 

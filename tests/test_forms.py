@@ -301,6 +301,28 @@ class TestRecoverW:
                 assert np.array_equal(form.cs.u1, np.eye(p)) and np.array_equal(form.cs.u2, np.eye(q))
                 assert np.array_equal(form.cs.cos, np.ones(spec.n)) and not form.cs.sin.any()
                 assert unitarity_residual(form.W) <= 1e-14
+            for cond in (1e9, 1e10):  # the check may refuse these; a pair it passes must still factor
+                g = (haar_unitary(m, rng) * np.logspace(0, -np.log10(cond), m)) @ haar_unitary(m, rng)
+                try:
+                    form = canonical_decompose(BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec))
+                except (NotSelfAdjoint, RankDeficient):
+                    continue
+                assert form.rank == m - spec.n
+                assert form.cs.p == p and unitarity_residual(form.W) <= UNITARY_ABS
+
+    @pytest.mark.parametrize("m", range(4, 10))
+    def test_sines_decided_zero_stay_when_zeroing_could_break_unitarity(self, m):
+        # Sines of 2e-5 lie under the cutoff 4 m eps kappa at kappa = 8e9, but zeroing them would move W*W - I
+        # by 4e-10 > UNITARY_ABS: W keeps its blocks, and its CSD still runs.
+        spec = OrderSpec.from_order(m)
+        p, _ = spec.csd_partition
+        rng = np.random.default_rng([m, 26])
+        normalized = construct_from_W(_unitary_with_sines(spec, np.full(spec.n, 2e-5), rng), spec)
+        g = (haar_unitary(m, rng) * np.logspace(0, -np.log10(8e9), m)) @ haar_unitary(m, rng)
+        form = canonical_decompose(BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec))
+        assert form.rank == m - spec.n
+        assert form.W[:p, p:].any() and form.W[p:, :p].any()
+        assert np.allclose(form.cs.sin, 2e-5, rtol=0.1) and unitarity_residual(form.W) <= UNITARY_ABS
 
     @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
     def test_newton_schulz_step_is_the_dense_expression(self, m):
@@ -635,7 +657,7 @@ class TestEigenspaceMeasurement:
 
     @pytest.mark.parametrize("m", [*range(2, 18), 64, 65, 128, 129])
     def test_stacked_gram_products_equal_separate_ones(self, m):
-        # Below order 16 the pair forms P~ P~* and R~ R~* in one matmul on a strided (2, m, m) view of its
+        # The pair forms P~ P~* and R~ R~* in one matmul on a strided (2, m, m) view of its
         # coordinates; numpy must hand each to BLAS as it would the separate products, or the verdict's bits move.
         spec = OrderSpec(m)
         normalized = generate_random_pair(spec, m)
@@ -861,8 +883,7 @@ class TestFixedCutoffs:
     @pytest.mark.parametrize("m", [5, 6])
     def test_form_fields(self, m):
         form = canonical_decompose(generate_random_pair(OrderSpec.from_order(m), 1))
-        # P = P~ / sqrt(2) is formed on first read, from the kept P~.
-        assert [f.name for f in dataclasses.fields(form)] == ["spec", "W", "_p_scaled", "rank"]
+        assert [f.name for f in dataclasses.fields(form)] == ["spec", "W", "P", "rank"]
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_block_ranks_cut_at_rank_rel(self, m):
