@@ -45,6 +45,7 @@ from .linalg import (
     unit_rank,
 )
 from .structure import (
+    _GATHER_MIN,
     OrderSpec,
     eigenbasis,
     even_order_Z,
@@ -139,10 +140,11 @@ class BoundaryPair:
     @cached_property
     def _criterion_numbers(self) -> tuple[float, int, np.ndarray | None]:
         """(Gram residual, inf or nan on overflow; rank (A : B); its singular values, or None when certified)."""
-        m, coordinates = self.spec.m, self._coordinates
-        halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)  # the (2, m, m) view (P~, R~)
+        m = self.spec.m
+        halves = self._coordinates.reshape(m, 2, m).transpose(1, 0, 2)  # the (2, m, m) view (P~, R~)
         with np.errstate(over="ignore", invalid="ignore"):
-            pp, rr = halves @ halves.conj().transpose(0, 2, 1)  # one matmul: each product as a separate one
+            # Below _GATHER_MIN one stacked matmul, with each product's bits; from it up two, with smaller temporaries.
+            pp, rr = halves @ halves.conj().transpose(0, 2, 1) if m < _GATHER_MIN else (x @ x.conj().T for x in halves)
             gram = pp + rr
             rr -= pp
             return 0.5 * float(np.linalg.norm(rr)), *_row_rank(self._ab, gram)
@@ -343,17 +345,15 @@ def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
     block lies where a kappa the certificate allows could move the rank.
     With (p, q) = ``spec.csd_partition``, rank A = q + rank W[q:, :p] and
     rank B = p + rank W[:q, p:] (both n + rank S at even order); the rank
-    A block decides.  When every sine is decided zero (rank A = m - n),
-    W's off-diagonal CS blocks are zeroed in place, unless that could take
-    W's unitarity residual above ``UNITARY_ABS`` (at kappa near 1e10): the
-    CSD's block-diagonal shortcut then gives u1 = u2 = I and an exact K.
+    A block decides.  When every sine is decided zero (rank A = m - n) and
+    zeroing keeps W unitary within ``UNITARY_ABS``, W's off-diagonal CS blocks
+    are zeroed in place: the CSD then gives u1 = u2 = I and an exact K.
     """
     p, q = pair.spec.csd_partition
     rank = q + unit_rank(w[q:, :p], pair._recovery_noise())
     if rank == pair.spec.m - pair.spec.n:
         blocks = (w[:p, p:], w[p:, :p])
-        # Zeroing moves W*W - I by at most a block's squared Frobenius norm; the other half of
-        # UNITARY_ABS is left to W's own roundoff, so the form's CSD still accepts W.
+        # Zeroing moves W*W - I by at most a block's squared Frobenius norm; half is left to W's roundoff.
         if max(np.vdot(b, b).real for b in blocks) <= 0.5 * UNITARY_ABS:
             for block in blocks:
                 block[block != 0] = 0.0  # an entry already zero keeps its sign bit

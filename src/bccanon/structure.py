@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-# From this order up, EigenBasis._scaled_product gathers columns in place of a dense product.
+# Below this order fewer numpy calls beat smaller temporaries: the eigenspace product and Gram products go dense.
 _GATHER_MIN = 16
 
 

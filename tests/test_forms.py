@@ -657,7 +657,7 @@ class TestEigenspaceMeasurement:
 
     @pytest.mark.parametrize("m", [*range(2, 18), 64, 65, 128, 129])
     def test_stacked_gram_products_equal_separate_ones(self, m):
-        # The pair forms P~ P~* and R~ R~* in one matmul on a strided (2, m, m) view of its
+        # Below order 16 the pair forms P~ P~* and R~ R~* in one matmul on a strided (2, m, m) view of its
         # coordinates; numpy must hand each to BLAS as it would the separate products, or the verdict's bits move.
         spec = OrderSpec(m)
         normalized = generate_random_pair(spec, m)
