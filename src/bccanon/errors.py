@@ -35,7 +35,7 @@ class NotSelfAdjoint(BccanonError):
 
 
 class RankDeficient(BccanonError):
-    """Eigenspace coefficient matrix is numerically singular."""
+    """No unitary W is within reach of the Newton-Schulz steps from P^-1 R."""
 
 
 class UnsupportedOrder(BccanonError):

@@ -252,12 +252,11 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
 
     Applies ``tol`` to the pair's criterion numbers, then reads the split
     (A : B) sqrt(2) V = (P~ : R~), R~ = P~ W, that the check measured, and
-    returns P = P~ / sqrt(2): no product with V is formed.  When
-    X = P~^-1 R~ (one LU solve) is unitary within ``UNITARY_ABS``, one
-    Newton-Schulz step X (3I - X*X) / 2 gives its unitary polar factor, to
-    an error of order the square of X's unitarity residual (Higham,
-    Functions of Matrices, 2008, ch. 8).  Otherwise W is composed from the
-    SVDs of P~ and R~, raising RankDeficient on a numerically singular P.
+    returns P = P~ / sqrt(2): no product with V is formed.  Newton-Schulz
+    steps X (3I - X*X) / 2 from X = P~^-1 R~ (one LU solve), the last from
+    within ``UNITARY_ABS``, converge while m max|X*X - I| < 1 (Higham,
+    Functions of Matrices, 2008, ch. 8).  RankDeficient: the solve or that
+    test fails, or five steps fall short; no unitary W is in their reach.
     """
     m = pair.spec.m
     rank_ab, rank_ok, gram_residual, gram_ok = _criterion(pair, tol)
@@ -266,21 +265,22 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     p_scaled, r_scaled = pair._coordinates[:, :m], pair._coordinates[:, m:]
     try:
         x = np.linalg.solve(p_scaled, r_scaled)
-        step = x.conj().T @ x  # becomes X*X - I, then 1.5 I - 0.5 X*X, in place
-        diagonal = step.reshape(-1)[:: m + 1]  # a view: the product is C-contiguous
-        diagonal -= 1.0
-        if abs(step).max() <= UNITARY_ABS:
+        for _ in range(5):
+            step = x.conj().T @ x  # becomes X*X - I, then 1.5 I - 0.5 X*X, in place
+            diagonal = step.reshape(-1)[:: m + 1]  # a view: the product is C-contiguous
+            diagonal -= 1.0
+            residual = abs(step).max()
+            if not m * residual < 1.0:  # convergence not certain; NaN fails too
+                break
             step *= 0.5
             np.subtract(0.0, step, out=step)  # 0.0 - h, as 1.5 I - 0.5 X*X rounds it: each zero +0.0
             diagonal += 1.0
-            return x @ step, p_scaled / np.sqrt(2.0)
+            x = x @ step
+            if residual <= UNITARY_ABS:
+                return x, p_scaled / np.sqrt(2.0)
     except np.linalg.LinAlgError:  # P exactly singular
         pass
-    up, sp, vph = np.linalg.svd(p_scaled)
-    ur, _, vrh = np.linalg.svd(r_scaled)
-    if relative_rank(sp) < m:
-        raise RankDeficient("eigenspace coefficient matrix is numerically singular")
-    return vph.conj().T @ (up.conj().T @ ur) @ vrh, p_scaled / np.sqrt(2.0)
+    raise RankDeficient("eigenspace coefficient matrix is numerically singular")
 
 
 def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -288,8 +288,8 @@ def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     The result is invariant under left multiplication of the pair by any
     invertible matrix; :func:`_recover_coupling` gives the route.  Raises
-    NotSelfAdjoint when the rank/Gram criterion fails and RankDeficient on
-    numerically singular coefficients.
+    NotSelfAdjoint when the rank/Gram criterion fails and RankDeficient
+    when no unitary W is within reach of its Newton-Schulz steps.
     """
     return _recover_coupling(pair, tol)[0]
 

@@ -47,7 +47,7 @@ def count_solves(monkeypatch):
 
 @pytest.fixture
 def ill_conditioned_pair():
-    """An m = 5 pair mixed by a G with cond 1e10, whose coefficient matrix P is numerically singular."""
+    """An m = 5 pair of rank A = 4 mixed by a G with cond 1e10: X = P^-1 R needs two Newton-Schulz steps to reach W."""
     spec = OrderSpec(5)
     pair = generate_random_pair(spec, 1, target_unit_cosines=1)
     rng = np.random.default_rng([5, 1])

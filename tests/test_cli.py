@@ -328,15 +328,16 @@ class TestClassifySvdCalls:
         assert factorizations == [(order, order)]
         assert report.metrics["rank_A"] == report.metrics["rank_B"] == order
 
-    def test_singular_coefficients_fall_back_and_exit_three(self, tmp_path, count_svds, ill_conditioned_pair):
+    def test_ill_conditioned_pair_classifies_as_mixed(self, tmp_path, count_svds, ill_conditioned_pair):
         write_matrix_file(tmp_path / "A.json", ill_conditioned_pair.A)
         write_matrix_file(tmp_path / "B.json", ill_conditioned_pair.B)
         calls = count_svds()
         report, code = run_command(["classify", str(tmp_path / "A.json"), str(tmp_path / "B.json")])
-        assert code == 3
-        assert report.verdict == "error: eigenspace coefficient matrix is numerically singular"
-        # (A : B) for the check, then the SVDs of both coefficient matrices.
-        assert calls == [(5, 10), (5, 5), (5, 5)]
+        assert code == 0
+        assert report.verdict == "mixed"
+        assert report.metrics["rank_A"] == report.metrics["rank_B"] == 4
+        # (A : B) for the check, then the corner block of W; Newton-Schulz steps recover W with none.
+        assert calls == [(5, 10), (2, 2)]
 
 
 class TestSubprocessInterface:

@@ -65,6 +65,14 @@ def corner_block_ranks(w, spec):
     return q + unit_rank(w[q:, :p]), p + unit_rank(w[:q, p:])
 
 
+def _coordinates_pair(x):
+    """The pair (A : B) = (I : X) V* / sqrt(2), whose measured split (P~ : R~) is (I : X)."""
+    m = x.shape[0]
+    spec = OrderSpec(m)
+    ab = np.hstack([np.eye(m), x]) @ eigenbasis(spec).V.conj().T / np.sqrt(2.0)
+    return BoundaryPair(A=ab[:, :m], B=ab[:, m:], spec=spec)
+
+
 def svd_route_w(pair):
     """W = Vp (Up* Ur) Vr* from the SVDs Up Sp Vp* of P and Ur Sr Vr* of R, (A : B) V = (P : R)."""
     m = pair.spec.m
@@ -251,18 +259,20 @@ class TestRecoverW:
         assert np.max(np.abs(w - reference)) <= 1e-12
         assert unitarity_residual(w) <= 1e-14
 
-    def test_singular_coefficients_fall_back_to_the_svd_route(self, count_svds, ill_conditioned_pair):
+    def test_ill_conditioned_pair_iterates_to_a_mixed_form(self, count_svds, ill_conditioned_pair):
+        # X = P^-1 R misses UNITARY_ABS; further Newton-Schulz steps reach W with no SVD of P or R.
         assert check_self_adjoint(ill_conditioned_pair).ok
         calls = count_svds()
-        with pytest.raises(RankDeficient, match="^eigenspace coefficient matrix is numerically singular$"):
-            canonical_decompose(ill_conditioned_pair)
-        assert calls == [(5, 5), (5, 5)]
+        form = canonical_decompose(ill_conditioned_pair)
+        assert (form.rank, form.classification) == (4, Classification.MIXED)
+        assert calls == [(2, 2)]  # the corner block the decision reads
+        assert unitarity_residual(form.W) <= 1e-14
 
     @pytest.mark.parametrize("m", [4, 5])
     def test_singular_p_that_passes_the_check_is_rank_deficient(self, count_svds, m):
         # (P : R) = (diag(1, .., 1, 0), diag(1, .., 1, 1e-5)) has Gram residual 1e-10 and full rank.
         # At m = 4 the computed P is exactly singular and the solve raises; at m = 5 it is not, and
-        # X = P^-1 R is far from unitary.  Both fall back to the SVDs.
+        # X = P^-1 R is too far from unitary to start the steps.  Neither runs an SVD.
         spec = OrderSpec(m)
         v = eigenbasis(spec).V
         ones = [1.0] * (m - 1)
@@ -270,9 +280,32 @@ class TestRecoverW:
         pair = BoundaryPair(A=ab[:, :m], B=ab[:, m:], spec=spec)
         assert check_self_adjoint(pair).ok
         calls = count_svds()
-        with pytest.raises(RankDeficient):
+        with pytest.raises(RankDeficient, match="^eigenspace coefficient matrix is numerically singular$"):
             recover_W(pair)
-        assert calls == [(m, m), (m, m)]
+        assert calls == []
+
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    def test_steps_that_do_not_converge_in_five_are_rank_deficient(self, count_svds, m):
+        # X = U (I - cJ)^(1/2), J all ones: X*X - I = -cJ passes m max|X*X - I| < 1, but X's least
+        # singular value is 1e-3, which takes 23 steps to reach UNITARY_ABS.
+        c = (1.0 - 1e-6) / m
+        root = np.eye(m) + (np.sqrt(1.0 - c * m) - 1.0) / m * np.ones((m, m))
+        pair = _coordinates_pair(haar_unitary(m, np.random.default_rng([m, 26])) @ root)
+        assert check_self_adjoint(pair, Tolerances(0.99)).ok
+        calls = count_svds()
+        with pytest.raises(RankDeficient, match="^eigenspace coefficient matrix is numerically singular$"):
+            recover_W(pair, Tolerances(0.99))
+        assert calls == []
+
+    def test_far_from_unitary_x_is_rank_deficient(self, count_svds):
+        # X = 1.2 U: not self-adjoint (Gram residual 0.49), and m max|X*X - I| = 2.2 >= 1, so no step is taken.
+        pair = _coordinates_pair(1.2 * haar_unitary(5, np.random.default_rng([5, 26])))
+        report = check_self_adjoint(pair, Tolerances(0.99))
+        assert report.ok and 0.49 < report.gram_residual < 0.5
+        calls = count_svds()
+        with pytest.raises(RankDeficient, match="^eigenspace coefficient matrix is numerically singular$"):
+            recover_W(pair, Tolerances(0.99))
+        assert calls == []
 
     @pytest.mark.parametrize("m", range(3, 14))
     def test_all_unit_cosines_recover_exactly_zero_off_diagonal_blocks(self, m):
@@ -305,10 +338,33 @@ class TestRecoverW:
                 g = (haar_unitary(m, rng) * np.logspace(0, -np.log10(cond), m)) @ haar_unitary(m, rng)
                 try:
                     form = canonical_decompose(BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec))
-                except (NotSelfAdjoint, RankDeficient):
+                except NotSelfAdjoint:
                     continue
                 assert form.rank == m - spec.n
                 assert form.cs.p == p and unitarity_residual(form.W) <= UNITARY_ABS
+
+    @pytest.mark.parametrize("cond", [1e7, 1e8, 1e9, 1e10])
+    def test_every_pair_the_check_passes_gets_its_form(self, cond):
+        # Row-mixed at cond(G) >= 1e7, X = P^-1 R misses UNITARY_ABS and further steps reach W; at 1e10
+        # some pairs have a P whose singular values fall below the relative rank cutoff.
+        c = round(np.log10(cond))
+        checked = 0
+        for m in range(3, 14):
+            spec = OrderSpec(m)
+            for k in range(spec.n + 1):
+                for seed in (0, 1):
+                    normalized = generate_random_pair(spec, seed, target_unit_cosines=k)
+                    rng = np.random.default_rng([m, k, seed, c])
+                    g = (haar_unitary(m, rng) * np.logspace(0, -c, m)) @ haar_unitary(m, rng)
+                    pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+                    if not check_self_adjoint(pair).ok:
+                        continue
+                    checked += 1
+                    form = canonical_decompose(pair)
+                    assert form.rank == m - k
+                    assert form.cs.cos.shape == (spec.n,)
+                    assert unitarity_residual(form.W) <= UNITARY_ABS
+        assert checked >= 50
 
     @pytest.mark.parametrize("m", range(4, 10))
     def test_sines_decided_zero_stay_when_zeroing_could_break_unitarity(self, m):
