@@ -8,8 +8,9 @@ every (order, unit-cosine count) of ``GRID``, a row-mixed copy G (A, B) of
 each grid pair with ``MIXED_UNIT_COSINES`` unit cosines, scaled copies s
 (A, B) of those pairs at the orders ``SCALED_ORDERS`` and each scale of
 ``SCALES`` (1e-170, 1e-315, 1e-6 and 1e2), copies with a repeated row at
-``REPEATED_ROW_ORDERS``, a row-mixed copy with cond G = 1e8 at
-``ILL_MIXED_ORDERS``, and the ``dirichlet`` and ``w_identity`` fixtures;
+``REPEATED_ROW_ORDERS``, row-mixed copies with cond G = 1e8 at
+``ILL_MIXED_ORDERS`` and with cond G = 1e4 at ``STEPPED_MIXED_ORDERS``, and
+the ``dirichlet`` and ``w_identity`` fixtures;
 later runs reuse whatever INPUT_DIR holds, so two commits digest the same
 inputs.  For each input the script runs ``check``, ``classify`` and
 ``canon``, on each mixed copy also with ``--tol TIGHT_TOL``, which fails
@@ -59,6 +60,9 @@ REPEATED_ROW_ORDERS = (5, 64)
 # rank, but with a margin below the shift of the check's Cholesky certificate,
 # so the check falls back to the SVD there too.
 ILL_MIXED_ORDERS = (5,)
+# At these orders those pairs also get a row-mixed copy with cond G = 1e4: X = P~^-1 R~
+# misses unitarity by more than roundoff, so the recovery takes exactly one Newton-Schulz step.
+STEPPED_MIXED_ORDERS = (5, 64)
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests", "fixtures")
 FORMATS = ("json", "text")
 # generate runs that end in a usage error (exit 2), by name.
@@ -136,11 +140,11 @@ def _write_mixed(input_dir, m, source):
     _write_copy(input_dir, f"mixed-m{m}", source, lambda matrix: g @ matrix)
 
 
-def _write_ill_mixed(input_dir, m, source):
-    """Write ``ill-mixed-m{m}``: G (A, B) of the pair in ``source``, G seeded by (m, 8) with cond G = 1e8."""
-    rng = np.random.default_rng([m, 8])
-    g = (haar_unitary(m, rng) * np.logspace(0, -8, m)) @ haar_unitary(m, rng)
-    _write_copy(input_dir, f"ill-mixed-m{m}", source, lambda matrix: g @ matrix)
+def _write_conditioned_mixed(input_dir, prefix, m, source, digits):
+    """Write ``{prefix}-m{m}``: G (A, B) of the pair in ``source``, G seeded by (m, digits) with cond G = 10**digits."""
+    rng = np.random.default_rng([m, digits])
+    g = (haar_unitary(m, rng) * np.logspace(0, -digits, m)) @ haar_unitary(m, rng)
+    _write_copy(input_dir, f"{prefix}-m{m}", source, lambda matrix: g @ matrix)
 
 
 def make_inputs(input_dir, grid=GRID):
@@ -159,7 +163,9 @@ def make_inputs(input_dir, grid=GRID):
             if m in REPEATED_ROW_ORDERS:
                 _write_copy(input_dir, f"repeated-row-m{m}", _name(m, k), lambda matrix: matrix[[1, *range(1, m)]])
             if m in ILL_MIXED_ORDERS:
-                _write_ill_mixed(input_dir, m, _name(m, k))
+                _write_conditioned_mixed(input_dir, "ill-mixed", m, _name(m, k), 8)
+            if m in STEPPED_MIXED_ORDERS:
+                _write_conditioned_mixed(input_dir, "stepped-mixed", m, _name(m, k), 4)
     for stem in ("dirichlet", "w_identity"):
         os.makedirs(os.path.join(input_dir, stem))
         for side in "AB":

@@ -69,6 +69,8 @@ __all__ = [
 
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
+# max|X*X - I| at which the recovery returns X as W and takes no further Newton-Schulz step.
+_UNITARY_AS_SOLVED = 1e-14
 
 
 class Classification(enum.Enum):
@@ -253,10 +255,12 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     Applies ``tol`` to the pair's criterion numbers, then reads the split
     (A : B) sqrt(2) V = (P~ : R~), R~ = P~ W, that the check measured, and
     returns P = P~ / sqrt(2): no product with V is formed.  Newton-Schulz
-    steps X (3I - X*X) / 2 from X = P~^-1 R~ (one LU solve), the last from
-    within ``UNITARY_ABS``, converge while m max|X*X - I| < 1 (Higham,
-    Functions of Matrices, 2008, ch. 8).  RankDeficient: the solve or that
-    test fails, or five steps fall short; no unitary W is in their reach.
+    steps X (3I - X*X) / 2 from X = P~^-1 R~ (one LU solve) stop at the first
+    X with max|X*X - I| <= 1e-14, which is most often the solve's own, or
+    after the step from within ``UNITARY_ABS``.  They converge while
+    m max|X*X - I| < 1 (Higham, Functions of Matrices, 2008, ch. 8).
+    RankDeficient: the solve or that test fails, or five steps fall short;
+    no unitary W is in their reach.
     """
     m = pair.spec.m
     rank_ab, rank_ok, gram_residual, gram_ok = _criterion(pair, tol)
@@ -272,6 +276,8 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
             residual = abs(step).max()
             if not m * residual < 1.0:  # convergence not certain; NaN fails too
                 break
+            if residual <= _UNITARY_AS_SOLVED:
+                return x, p_scaled / np.sqrt(2.0)
             step *= 0.5
             np.subtract(0.0, step, out=step)  # 0.0 - h, as 1.5 I - 0.5 X*X rounds it: each zero +0.0
             diagonal += 1.0
@@ -287,9 +293,10 @@ def recover_W(pair: BoundaryPair, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Invert :func:`construct_from_W` up to row equivalence.
 
     The result is invariant under left multiplication of the pair by any
-    invertible matrix; :func:`_recover_coupling` gives the route.  Raises
-    NotSelfAdjoint when the rank/Gram criterion fails and RankDeficient
-    when no unitary W is within reach of its Newton-Schulz steps.
+    invertible matrix; :func:`_recover_coupling` gives the route: one solve,
+    then Newton-Schulz steps only when its X is not unitary to roundoff.
+    Raises NotSelfAdjoint when the rank/Gram criterion fails and
+    RankDeficient when no unitary W is within reach of those steps.
     """
     return _recover_coupling(pair, tol)[0]
 

@@ -382,21 +382,45 @@ class TestRecoverW:
 
     @pytest.mark.parametrize("m", [*range(2, 14), 64, 65])
     def test_newton_schulz_step_is_the_dense_expression(self, m):
-        # W = X (1.5 I - 0.5 X*X) in every bit, the sign of each zero included.
+        # X = P~^-1 R~ within 1e-14 of unitary is W in every bit, the sign of each zero included.  Row-mixed
+        # at cond(G) = 1e4, X misses that bound and W = X (1.5 I - 0.5 X*X), the one step, in every bit.
         spec = OrderSpec.from_order(m)
         index = np.arange(m)
+        rng = np.random.default_rng([m, 27])
         pairs = [
             BoundaryPair.from_matrices(np.eye(m), np.eye(m)),
             BoundaryPair.from_matrices(np.diag(1.0 * (index < m - m // 2)), np.diag(1.0 * (index >= m // 2))),
             *(generate_random_pair(spec, seed, target_unit_cosines=spec.n) for seed in range(3)),
             generate_random_pair(spec, 3),
         ]
-        for pair in pairs:
+        for normalized in pairs:
+            g = (haar_unitary(m, rng) * np.logspace(0, -4, m)) @ haar_unitary(m, rng)
+            mixed = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+            for pair, stepped in ((normalized, False), (mixed, True)):
+                x = np.linalg.solve(pair._coordinates[:, :m], pair._coordinates[:, m:])
+                assert (np.abs(x.conj().T @ x - np.eye(m)).max() > 1e-14) == stepped
+                expected = x @ (1.5 * np.eye(m) - 0.5 * (x.conj().T @ x)) if stepped else x
+                w = recover_W(pair)
+                assert np.array_equal(w, expected)
+                assert np.array_equal(np.signbit(w.view(float)), np.signbit(expected.view(float)))
+
+    @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("m", [*range(2, 14), 64, 65, 128, 129])
+    def test_both_branches_return_a_unitary_w(self, m, cond):
+        # At cond(G) = 1 X is unitary to roundoff and is W itself; at 1e4 and 1e6 it takes steps; at 1e2
+        # pairs land on either side.  Either way W is unitary within 1e-14 and agrees with the SVD route.
+        spec = OrderSpec.from_order(m)
+        rng = np.random.default_rng([m, round(np.log10(cond)), 27])
+        normalized = generate_random_pair(spec, m, target_unit_cosines=spec.n // 2)
+        g = (haar_unitary(m, rng) * np.logspace(0, -np.log10(cond), m)) @ haar_unitary(m, rng)
+        pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
+        w = recover_W(pair)
+        assert unitarity_residual(w) <= 1e-14
+        assert np.max(np.abs(w - svd_route_w(pair))) <= 1e-12 * cond
+        if cond == 1.0:
             x = np.linalg.solve(pair._coordinates[:, :m], pair._coordinates[:, m:])
-            expected = x @ (1.5 * np.eye(m) - 0.5 * (x.conj().T @ x))
-            w = recover_W(pair)
-            assert np.array_equal(w, expected)
-            assert np.array_equal(np.signbit(w.view(float)), np.signbit(expected.view(float)))
+            assert np.array_equal(w, x)
+            assert np.array_equal(np.signbit(w.view(float)), np.signbit(x.view(float)))
 
 
 class TestCanonicalDecompose:

@@ -6,7 +6,8 @@ import pathlib
 
 import numpy as np
 
-from bccanon.matio import parse_matrix_file
+from bccanon import BoundaryPair, OrderSpec, generate_random_pair, haar_unitary
+from bccanon.matio import parse_matrix_file, write_matrix_file
 
 SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
 
@@ -23,7 +24,8 @@ def test_output_digest_smoke(tmp_path):
     inputs = tmp_path / "inputs"
     runs = script.digest(str(inputs), grid=((5, 2),))
     scaled = [f"scaled-m5-s{label}" for label in script.SCALES]
-    names = ["dirichlet", "ill-mixed-m5", "m5-k2", "mixed-m5", "repeated-row-m5", *scaled, "w_identity"]
+    names = ["dirichlet", "ill-mixed-m5", "m5-k2", "mixed-m5", "repeated-row-m5", *scaled, "stepped-mixed-m5",
+             "w_identity"]
     assert sorted(p.name for p in inputs.iterdir()) == names
     expected = {f"generate {g} {fmt}" for g in ("m5-k2", *script.GENERATE_ERRORS) for fmt in ("json", "text")}
     expected |= {f"{c} {i} {fmt}" for c in ("check", "classify", "canon") for i in names for fmt in ("json", "text")}
@@ -71,6 +73,47 @@ def test_output_digest_smoke(tmp_path):
     (inputs / "m5-k2" / "B.json").write_bytes((inputs / "dirichlet" / "B.json").read_bytes())
     script.make_inputs(str(inputs), grid=((5, 2),))
     assert (inputs / "m5-k2" / "B.json").read_bytes() == (inputs / "dirichlet" / "B.json").read_bytes()
+
+
+def _write_pair(directory, a, b):
+    directory.mkdir(parents=True)
+    write_matrix_file(str(directory / "A.json"), a)
+    write_matrix_file(str(directory / "B.json"), b)
+
+
+def test_factor_meaning_smoke(tmp_path, monkeypatch, capsys):
+    script = load_script("factor_meaning")
+    inputs = tmp_path / "inputs"
+    rng = np.random.default_rng(27)
+    for m in (5, 6):  # row-mixed pairs of both parities
+        pair = generate_random_pair(OrderSpec.from_order(m), m, target_unit_cosines=1)
+        g = (haar_unitary(m, rng) * rng.uniform(0.3, 3.0, m)) @ haar_unitary(m, rng)
+        _write_pair(inputs / f"mixed-m{m}", g @ pair.A, g @ pair.B)
+    pair = BoundaryPair(A=pair.A[[1, *range(1, 6)]], B=pair.B[[1, *range(1, 6)]])  # rank (A : B) = 5
+    _write_pair(inputs / "repeated-row-m6", pair.A, pair.B)
+    assert script.main([str(inputs)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "repeated-row-m6: exit 3, no factors"
+    assert lines[3].startswith("worst of 2 factored inputs: ")
+    for line in lines[:2]:
+        figures = json.loads(line.split(": ", 1)[1])
+        assert set(figures) == set(script.FIGURES)
+        assert figures["angles"] <= script.ANGLE_TOL and figures["unitary"] <= 1e-14
+        assert figures["cs"] <= 1e-14 and figures["factors"] <= 1e-14
+    # A written sine moved by 1e-13 misses the angle bound, and the script exits 1.
+    canon = script.canon
+
+    def moved_sine(input_dir, name, out_dir):
+        code = canon(input_dir, name, out_dir)
+        if name == "mixed-m5":
+            path = pathlib.Path(out_dir) / "S_diag.json"
+            write_matrix_file(str(path), parse_matrix_file(str(path)) + 1e-13)
+        return code
+
+    monkeypatch.setattr(script, "canon", moved_sine)
+    assert script.main([str(inputs)]) == 1
+    figures = json.loads(capsys.readouterr().out.splitlines()[0].split(": ", 1)[1])
+    assert 0.9e-13 < figures["angles"] < 1.1e-13
 
 
 def _write_results(directory, pair_ms, failed, trace=0):
