@@ -31,7 +31,9 @@ import numpy as np
 from .csd import CsFactors, cs_decompose, cs_reconstruct
 from .errors import InvalidTarget, NotSelfAdjoint, RankDeficient
 from .linalg import (
+    _W_NOISE_CERTIFIED,
     DEFAULT_TOL,
+    RANK_REL,
     UNITARY_ABS,
     Tolerances,
     _row_rank,
@@ -42,11 +44,11 @@ from .linalg import (
     haar_unitary,
     relative_rank,
     require_unitary,
-    unit_rank,
 )
 from .structure import (
     _GATHER_MIN,
     OrderSpec,
+    _order_spec,
     eigenbasis,
     even_order_Z,
     q4_matrix,
@@ -69,6 +71,7 @@ __all__ = [
 
 
 _SMALLEST_NORMAL = np.finfo(float).tiny
+_SQRT2 = np.sqrt(2.0)
 # max|X*X - I| at which the recovery returns X as W and takes no further Newton-Schulz step.
 _UNITARY_AS_SOLVED = 1e-14
 
@@ -91,18 +94,19 @@ class BoundaryPair:
     imaginary parts are all subnormal: such entries have lost digits, so
     no rank read off them can be trusted.
 
-    The pair is measured once, on first use, in eigenspace coordinates:
-    (P~ : R~) = (A : B) sqrt(2) V, gathered from the columns of (A : B)
-    with the exact coefficients that :class:`~bccanon.structure.EigenBasis`
-    stores.  V* (C_m (+) -C_m) V is diag(-I, I) (times +-i at even order),
-    so the Gram residual ||A C_m A* - B C_m B*||_F is
-    (1/2) ||R~ R~* - P~ P~*||_F, and P~ P~* + R~ R~* = 2 (A : B)(A : B)* is
-    the Gram matrix whose shifted Cholesky certifies rank (A : B) = m (the
-    SVD of (A : B) runs only when that fails).  The recovery of W reads the
-    same two halves.  The singular values of A and of B are measured once,
-    on the first read of a report's ``rank_A`` or ``rank_B``; from m = 64 up
-    the values-only SVDs run on one OpenBLAS thread (see the README's
-    performance notes).  ``spec`` defaults to A's size.
+    The pair is measured once, on first use, in eigenspace coordinates
+    (``_measurement``): (P~ : R~) = (A : B) sqrt(2) V, gathered from the
+    columns of (A : B) with the exact coefficients that
+    :class:`~bccanon.structure.EigenBasis` stores.  V* (C_m (+) -C_m) V is
+    diag(-I, I) (times +-i at even order), so the Gram residual
+    ||A C_m A* - B C_m B*||_F is (1/2) ||R~ R~* - P~ P~*||_F, and
+    P~ P~* + R~ R~* = 2 (A : B)(A : B)* is the Gram matrix whose shifted
+    Cholesky certifies rank (A : B) = m (the SVD of (A : B) runs only when
+    that fails).  The recovery of W reads the same two halves.  The
+    singular values of A and of B are measured once, on the first read of
+    a report's ``rank_A`` or ``rank_B``; from m = 64 up the values-only
+    SVDs run on one OpenBLAS thread (see the README's performance notes).
+    ``spec`` defaults to A's size, one cached spec per order.
     """
 
     A: np.ndarray
@@ -110,8 +114,10 @@ class BoundaryPair:
     spec: OrderSpec | None = None
 
     def __post_init__(self):
-        a, b = as_complex_matrix(self.A, finite=False), as_complex_matrix(self.B, finite=False)
-        spec = OrderSpec.from_order(a.shape[0]) if self.spec is None else self.spec
+        a, b = np.asarray(self.A, dtype=complex), np.asarray(self.B, dtype=complex)
+        if a.ndim != 2 or b.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim if a.ndim != 2 else b.ndim}")
+        spec = _order_spec(a.shape[0]) if self.spec is None else self.spec
         m = spec.m
         if a.shape != (m, m) or b.shape != (m, m):
             raise ValueError(f"expected two {m} x {m} matrices, got {a.shape} and {b.shape}")
@@ -122,8 +128,7 @@ class BoundaryPair:
         if 0.0 < peak < _SMALLEST_NORMAL:
             raise ValueError(f"every entry is subnormal or zero (largest part {peak:.3e}): too small to decide a rank")
         ab.flags.writeable = False
-        for name, value in (("A", ab[:, :m]), ("B", ab[:, m:]), ("spec", spec), ("_ab", ab)):
-            object.__setattr__(self, name, value)
+        vars(self).update(A=ab[:, :m], B=ab[:, m:], spec=spec, _ab=ab)  # frozen: one write to the instance dict
 
     @classmethod
     def from_matrices(cls, a, b) -> "BoundaryPair":
@@ -135,21 +140,20 @@ class BoundaryPair:
         return self._ab
 
     @cached_property
-    def _coordinates(self) -> np.ndarray:
-        """(P~ : R~) = (A : B) sqrt(2) V, one m x 2m array."""
-        return eigenbasis(self.spec)._scaled_product(self._ab)
-
-    @cached_property
-    def _criterion_numbers(self) -> tuple[float, int, np.ndarray | None]:
-        """(Gram residual, inf or nan on overflow; rank (A : B); its singular values, or None when certified)."""
+    def _measurement(self) -> tuple[np.ndarray, float, int, np.ndarray | None]:
+        """((P~ : R~) = (A : B) sqrt(2) V, one m x 2m array; the Gram residual, inf or nan on overflow;
+        rank (A : B); its singular values, or None when the Cholesky certified it)."""
         m = self.spec.m
-        halves = self._coordinates.reshape(m, 2, m).transpose(1, 0, 2)  # the (2, m, m) view (P~, R~)
+        coordinates = eigenbasis(self.spec)._scaled_product(self._ab)
+        halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)  # the (2, m, m) view (P~, R~)
         with np.errstate(over="ignore", invalid="ignore"):
             # Below _GATHER_MIN one stacked matmul, with each product's bits; from it up two, with smaller temporaries.
             pp, rr = halves @ halves.conj().transpose(0, 2, 1) if m < _GATHER_MIN else (x @ x.conj().T for x in halves)
             gram = pp + rr
             rr -= pp
-            return 0.5 * float(np.linalg.norm(rr)), *_row_rank(self._ab, gram)
+            residual = 0.5 * float(np.linalg.norm(rr))
+            del pp, rr  # freed before the Cholesky allocates its own
+            return coordinates, residual, *_row_rank(self._ab, gram)
 
     @cached_property
     def _block_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -160,18 +164,8 @@ class BoundaryPair:
     @cached_property
     def _singular_values(self) -> np.ndarray:
         """Singular values of (A : B): the check's, when its certificate failed, else one values-only SVD."""
-        sigma = self._criterion_numbers[2]
+        sigma = self._measurement[3]
         return _svdvals(self._ab) if sigma is None else sigma
-
-    def _recovery_noise(self):
-        """The roundoff level of the W recovered from the pair, for :func:`~bccanon.linalg.unit_rank`.
-
-        A number when the check already ran the SVD of (A : B); otherwise a
-        callable that runs it, since the certificate bounds the level.
-        """
-        if self._criterion_numbers[2] is not None:
-            return _w_noise(self._singular_values)
-        return lambda: _w_noise(self._singular_values)
 
 
 @dataclass(frozen=True)
@@ -212,7 +206,7 @@ class SelfAdjointReport:
 
 def _criterion(pair: BoundaryPair, tol: Tolerances) -> tuple[int, bool, float, bool]:
     """(rank (A : B), whether it is m, Gram residual, whether it is within ``tol``): a report's verdict fields."""
-    gram_residual, rank_ab, _ = pair._criterion_numbers
+    _, gram_residual, rank_ab, _ = pair._measurement
     return rank_ab, rank_ab == pair.spec.m, gram_residual, gram_residual <= tol.residual_abs
 
 
@@ -252,7 +246,7 @@ construct_even_from_W = construct_from_W
 def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     """(W, P): the unique unitary W and the P with (A : B) = P (I : W) V*.
 
-    Applies ``tol`` to the pair's criterion numbers, then reads the split
+    Applies ``tol`` to the pair's measurement, then reads the split
     (A : B) sqrt(2) V = (P~ : R~), R~ = P~ W, that the check measured, and
     returns P = P~ / sqrt(2): no product with V is formed.  Newton-Schulz
     steps X (3I - X*X) / 2 from X = P~^-1 R~ (one LU solve) stop at the first
@@ -266,7 +260,8 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
     rank_ab, rank_ok, gram_residual, gram_ok = _criterion(pair, tol)
     if not (rank_ok and gram_ok):
         raise NotSelfAdjoint(f"rank(A:B)={rank_ab} (need {m}), gram residual {gram_residual:.3e}")
-    p_scaled, r_scaled = pair._coordinates[:, :m], pair._coordinates[:, m:]
+    coordinates = pair._measurement[0]
+    p_scaled, r_scaled = coordinates[:, :m], coordinates[:, m:]
     try:
         x = np.linalg.solve(p_scaled, r_scaled)
         for _ in range(5):
@@ -277,13 +272,13 @@ def _recover_coupling(pair: BoundaryPair, tol: Tolerances):
             if not m * residual < 1.0:  # convergence not certain; NaN fails too
                 break
             if residual <= _UNITARY_AS_SOLVED:
-                return x, p_scaled / np.sqrt(2.0)
+                return x, p_scaled / _SQRT2
             step *= 0.5
             np.subtract(0.0, step, out=step)  # 0.0 - h, as 1.5 I - 0.5 X*X rounds it: each zero +0.0
             diagonal += 1.0
             x = x @ step
             if residual <= UNITARY_ABS:
-                return x, p_scaled / np.sqrt(2.0)
+                return x, p_scaled / _SQRT2
     except np.linalg.LinAlgError:  # P exactly singular
         pass
     raise RankDeficient("eigenspace coefficient matrix is numerically singular")
@@ -356,13 +351,20 @@ def _decide(w: np.ndarray, pair: BoundaryPair) -> int:
     zeroing keeps W unitary within ``UNITARY_ABS``, W's off-diagonal CS blocks
     are zeroed in place: the CSD then gives u1 = u2 = I and an exact K.
     """
-    p, q = pair.spec.csd_partition
-    rank = q + unit_rank(w[q:, :p], pair._recovery_noise())
-    if rank == pair.spec.m - pair.spec.n:
-        blocks = (w[:p, p:], w[p:, :p])
+    spec = pair.spec
+    p, q = spec.csd_partition
+    sigma = _svdvals(w[q:, :p])
+    rank = int(np.count_nonzero(sigma > RANK_REL))
+    if pair._measurement[3] is not None or (rank and sigma[rank - 1] <= _W_NOISE_CERTIFIED):
+        noise = _w_noise(pair._singular_values)
+        if noise > RANK_REL:
+            rank = int(np.count_nonzero(sigma > noise))
+    rank += q
+    if rank == spec.m - spec.n:
+        upper, lower = w[:p, p:], w[p:, :p]
         # Zeroing moves W*W - I by at most a block's squared Frobenius norm; half is left to W's roundoff.
-        if max(np.vdot(b, b).real for b in blocks) <= 0.5 * UNITARY_ABS:
-            for block in blocks:
+        if max(np.vdot(upper, upper).real, np.vdot(lower, lower).real) <= 0.5 * UNITARY_ABS:
+            for block in (upper, lower):
                 block[block != 0] = 0.0  # an entry already zero keeps its sign bit
     return rank
 
@@ -465,7 +467,7 @@ class CanonicalForm(_Form):
 
     def reconstruct(self) -> np.ndarray:
         """The m x 2m product (1/sqrt 2) Q1 @ core @ Q2."""
-        return (self.Q1 @ self.core @ self.Q2) / np.sqrt(2.0)
+        return (self.Q1 @ self.core @ self.Q2) / _SQRT2
 
 
 class EvenCanonicalForm(_Form):

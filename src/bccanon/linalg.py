@@ -69,12 +69,12 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def as_complex_matrix(a, finite: bool = True) -> np.ndarray:
-    """Coerce to a 2-d complex128 array and, unless ``finite`` is False, reject non-finite entries."""
+def as_complex_matrix(a) -> np.ndarray:
+    """Coerce to a 2-d complex128 array and reject non-finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if finite and not np.isfinite(m).all():
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or infinite entries")
     return m
 
@@ -160,24 +160,16 @@ def _svdvals(x: np.ndarray) -> np.ndarray:
             set_(before)
 
 
-def unit_rank(block: np.ndarray, noise=0.0) -> int:
-    """Number of singular values of ``block`` above max(RANK_REL, noise).
+def unit_rank(block: np.ndarray) -> int:
+    """Number of singular values of ``block`` above ``RANK_REL``.
 
     Blocks of a unitary have singular values of unit natural scale (the
     sines among them), so the cutoff is absolute; a relative one would
-    count roundoff as rank when a block should be zero.  ``noise`` is the
-    roundoff level of the block's entries (:func:`_w_noise`), or a callable
-    that gives it at most ``_W_NOISE_CERTIFIED``: it is called only when a
-    value lies in (RANK_REL, _W_NOISE_CERTIFIED], the one place where such a
-    noise can move the rank.  From 64 rows and columns up the SVD runs on
-    one OpenBLAS thread (see the README's performance notes).
+    count roundoff as rank when a block should be zero.  From 64 rows and
+    columns up the SVD runs on one OpenBLAS thread (see the README's
+    performance notes).
     """
-    sigma = _svdvals(block)
-    rank = int(np.count_nonzero(sigma > RANK_REL))
-    if callable(noise):
-        # The values descend, so the least one counted is the only one that can lie in the band.
-        noise = noise() if rank and sigma[rank - 1] <= _W_NOISE_CERTIFIED else 0.0
-    return int(np.count_nonzero(sigma > noise)) if noise > RANK_REL else rank
+    return int(np.count_nonzero(_svdvals(block) > RANK_REL))
 
 
 def _w_noise(sigma: np.ndarray) -> float:

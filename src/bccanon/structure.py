@@ -17,7 +17,7 @@ definition) and converted to 0-based storage internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -62,9 +62,9 @@ class OrderSpec:
     def is_odd_order(self) -> bool:
         return self.m % 2 == 1
 
-    @property
+    @cached_property
     def csd_partition(self) -> tuple[int, int]:
-        """CS-decomposition block sizes (p, q) used by the canonical form.
+        """CS-decomposition block sizes (p, q) used by the canonical form, computed once per spec.
 
         (n, n) at even order; at odd order the block with n+1 rows comes
         first for odd n and second for even n.
@@ -73,6 +73,12 @@ class OrderSpec:
         if self.m % 2 == 0:
             return n, n
         return (n + 1, n) if n % 2 else (n, n + 1)
+
+
+@lru_cache(maxsize=64)
+def _order_spec(m: int) -> OrderSpec:
+    """``OrderSpec(m)``, built once per order for pairs that infer it from the exact ``int`` of their shape."""
+    return OrderSpec(m)
 
 
 @lru_cache(maxsize=16)

@@ -397,7 +397,8 @@ class TestRecoverW:
             g = (haar_unitary(m, rng) * np.logspace(0, -4, m)) @ haar_unitary(m, rng)
             mixed = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
             for pair, stepped in ((normalized, False), (mixed, True)):
-                x = np.linalg.solve(pair._coordinates[:, :m], pair._coordinates[:, m:])
+                coordinates = pair._measurement[0]
+                x = np.linalg.solve(coordinates[:, :m], coordinates[:, m:])
                 assert (np.abs(x.conj().T @ x - np.eye(m)).max() > 1e-14) == stepped
                 expected = x @ (1.5 * np.eye(m) - 0.5 * (x.conj().T @ x)) if stepped else x
                 w = recover_W(pair)
@@ -418,7 +419,8 @@ class TestRecoverW:
         assert unitarity_residual(w) <= 1e-14
         assert np.max(np.abs(w - svd_route_w(pair))) <= 1e-12 * cond
         if cond == 1.0:
-            x = np.linalg.solve(pair._coordinates[:, :m], pair._coordinates[:, m:])
+            coordinates = pair._measurement[0]
+            x = np.linalg.solve(coordinates[:, :m], coordinates[:, m:])
             assert np.array_equal(w, x)
             assert np.array_equal(np.signbit(w.view(float)), np.signbit(x.view(float)))
 
@@ -721,8 +723,9 @@ class TestEigenspaceMeasurement:
         dense = pair.stacked() @ scaled_v
         # One rounding of a sum of two terms: eps times the sum of their magnitudes.
         bound = np.finfo(float).eps * (np.abs(pair.stacked()) @ np.abs(scaled_v))
-        assert pair._coordinates.shape == (m, 2 * m)
-        assert np.all(np.abs(pair._coordinates - dense) <= bound)
+        coordinates = pair._measurement[0]
+        assert coordinates.shape == (m, 2 * m)
+        assert np.all(np.abs(coordinates - dense) <= bound)
 
     @pytest.mark.parametrize("m", [*range(2, 18), 64, 65])
     def test_dense_and_gathered_products_agree(self, m):
@@ -739,27 +742,33 @@ class TestEigenspaceMeasurement:
     def test_stacked_gram_products_equal_separate_ones(self, m):
         # Below order 16 the pair forms P~ P~* and R~ R~* in one matmul on a strided (2, m, m) view of its
         # coordinates; numpy must hand each to BLAS as it would the separate products, or the verdict's bits move.
+        # The report, W and P are then the dense expressions' in every bit, sign bits included.
         spec = OrderSpec(m)
         normalized = generate_random_pair(spec, m)
         g = conditioned_invertible(m, np.random.default_rng(m))
         pair = BoundaryPair(A=g @ normalized.A, B=g @ normalized.B, spec=spec)
-        coordinates = pair._coordinates
+        coordinates = pair._measurement[0]
         halves = coordinates.reshape(m, 2, m).transpose(1, 0, 2)
         stacked = halves @ halves.conj().transpose(0, 2, 1)
         p, r = coordinates[:, :m], coordinates[:, m:]
         separate = np.array([p @ p.conj().T, r @ r.conj().T])
         assert np.array_equal(stacked, separate)
         assert np.array_equal(np.signbit(stacked.view(float)), np.signbit(separate.view(float)))
-        assert pair._criterion_numbers[0] == 0.5 * float(np.linalg.norm(separate[1] - separate[0]))
+        residual = 0.5 * np.linalg.norm(r @ r.conj().T - p @ p.conj().T)
+        assert pair._measurement[1] == check_self_adjoint(pair).gram_residual == residual
+        form = canonical_decompose(pair)
+        for got, expected in ((form.W, np.linalg.solve(p, r)), (form.P, p / np.sqrt(2.0))):
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit([got.real, got.imag]), np.signbit([expected.real, expected.imag]))
 
     @pytest.mark.parametrize("m", [5, 6])
     def test_recovery_reads_the_check_s_measurement(self, m):
         pair = generate_random_pair(OrderSpec(m), 3)
         check_self_adjoint(pair)
-        coordinates = pair._coordinates
+        measurement = pair._measurement
         form = canonical_decompose(pair)
-        assert pair._coordinates is coordinates
-        assert np.array_equal(form.P, coordinates[:, :m] / np.sqrt(2.0))
+        assert pair._measurement is measurement
+        assert np.array_equal(form.P, measurement[0][:, :m] / np.sqrt(2.0))
 
 
 class TestMeasuredOnce:

@@ -2,7 +2,12 @@
 
 import importlib.util
 import json
+import os
 import pathlib
+import re
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 
@@ -150,3 +155,32 @@ def test_bench_file_smoke(tmp_path):
     (tmp_path / "empty").mkdir()
     assert script.main([str(tmp_path / "base"), str(tmp_path / "empty"), str(tmp_path / "none.json")]) == 1
     assert not (tmp_path / "none.json").exists()
+
+
+def _ab_library(base, head):
+    argv = [sys.executable, str(SCRIPTS / "ab_library.py"), str(base), str(head), "--blocks", "2", "--rounds", "1"]
+    env = dict(os.environ, PYTHONPATH=str(SCRIPTS.parent / "src"))
+    return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_ab_library_smoke(tmp_path):
+    root = SCRIPTS.parent
+    run = _ab_library(root, root)  # A/A: the checkout against itself
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0] == "tiny-stream seed 1: 112 pairs agree in every bit"
+    for line, label in zip(lines[1:], ("pair", "check"), strict=True):
+        assert re.fullmatch(rf"{label}: base [\d.]+ us, head [\d.]+ us, ratio [\d.]+, head won [012]/2", line)
+    # A head whose W moves by one bit fails the bit check before any timing.
+    shutil.copytree(root / "src" / "bccanon", tmp_path / "src" / "bccanon", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "bccanon" / "__init__.py", "a", encoding="utf-8") as handle:
+        handle.write(
+            "\n\ndef _moved(pair, _decompose=canonical_decompose):\n"
+            "    form = _decompose(pair)\n"
+            "    form.W[0, 0] *= 1.0 + 2.0**-52\n"
+            "    return form\n\n\n"
+            "canonical_decompose = even_canonical_decompose = _moved\n"
+        )
+    run = _ab_library(root, tmp_path)
+    assert run.returncode == 1
+    assert run.stdout.splitlines() and all(line.endswith(": W differs") for line in run.stdout.splitlines())

@@ -17,6 +17,7 @@ from bccanon import (
     symplectic_matrix,
     unitarity_residual,
 )
+from bccanon.structure import _order_spec
 
 # Signed antidiagonal of order 5, written out entry by entry.
 C5_EXPECTED = np.array(
@@ -314,6 +315,35 @@ class TestCachedPerOrder:
         assert eigenbasis(OrderSpec.from_order(m)) is basis
         with pytest.raises(ValueError):
             basis.V[0, 0] = 0.0
+
+    @pytest.mark.parametrize("m", [2, 5, 6, 129])
+    def test_pairs_share_one_spec_per_order(self, m):
+        first, second = (BoundaryPair.from_matrices(np.eye(m), np.eye(m)) for _ in range(2))
+        assert first.spec is second.spec is _order_spec(m)
+        assert first.spec.csd_partition is second.spec.csd_partition
+        assert first.spec == OrderSpec.from_order(m) and first.spec.csd_partition == OrderSpec(m).csd_partition
+
+    @pytest.mark.parametrize(
+        ("m", "message"),
+        [(-2, "even order must be at least 2, got -2"), (-1, "odd order must be at least 3, got -1"),
+         (0, "even order must be at least 2, got 0"), (1, "odd order must be at least 3, got 1")],
+    )
+    def test_invalid_order_raises_on_every_call(self, m, message):
+        for _ in range(3):
+            for build in (OrderSpec, OrderSpec.from_order, _order_spec):
+                with pytest.raises(UnsupportedOrder, match=f"^{message}$"):
+                    build(m)
+            if m >= 0:
+                with pytest.raises(UnsupportedOrder, match=f"^{message}$"):
+                    BoundaryPair.from_matrices(np.eye(m), np.eye(m))
+
+    def test_float_order_does_not_alias_an_int_one(self):
+        # from_order is not cached: a float order builds its own spec, and pairs keep the int one.
+        cached = BoundaryPair.from_matrices(np.eye(5), np.eye(5)).spec
+        floating = OrderSpec.from_order(5.0)
+        assert floating is not cached and type(floating.m) is float
+        assert type(BoundaryPair.from_matrices(np.eye(5), np.eye(5)).spec.m) is int
+        assert OrderSpec.from_order(5) is not cached and type(OrderSpec.from_order(5).m) is int
 
     def test_one_build_per_distinct_order(self):
         orders = range(3, 10)
